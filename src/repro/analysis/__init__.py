@@ -61,12 +61,6 @@ from repro.analysis.executor import (
     canonical_digest,
     execute_batch,
 )
-from repro.analysis.parallel import (
-    EmulationJob,
-    JobResult,
-    emulate_batch,
-    parallel_emulate,
-)
 from repro.analysis.visualize import activity_to_csv, psdf_to_dot, timeline_to_gantt
 
 __all__ = [
@@ -121,10 +115,6 @@ __all__ = [
     "JobFailure",
     "canonical_digest",
     "execute_batch",
-    "EmulationJob",
-    "JobResult",
-    "emulate_batch",
-    "parallel_emulate",
     "activity_to_csv",
     "psdf_to_dot",
     "timeline_to_gantt",

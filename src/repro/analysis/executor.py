@@ -1,9 +1,9 @@
 """Supervised campaign execution: retries, timeouts, checkpoints, chaos.
 
-:func:`parallel_emulate` used to be a bare ``pool.map``: one hung worker
-stalled a whole reliability sweep, one dead worker process lost every
-completed result, and an interrupted campaign restarted from zero.  This
-module replaces that path with a *supervised* executor:
+A bare ``pool.map`` lets one hung worker stall a whole reliability sweep,
+one dead worker process lose every completed result, and an interrupted
+campaign restart from zero.  Every campaign instead runs on this
+*supervised* executor:
 
 * jobs are submitted individually (or in small chunks) to a pool of
   worker processes, each owning a private pipe — a ``SIGKILL``-ed worker

@@ -699,11 +699,10 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         "--engine",
         default=None,
         choices=list(ENGINE_NAMES),
-        help="simulation kernel: 'stepped' (cycle-stepped reference), "
-        "'fast' (event-driven) or 'batch' (vectorized lockstep batches), "
-        "all tick-for-tick equivalent; default honours SEGBUS_ENGINE "
-        "(see docs/PERFORMANCE.md). For bench, omitting it times every "
-        "engine and records the speedups.",
+        help="simulation kernel: 'stepped' (cycle-stepped reference) or "
+        "'fast' (event-driven), tick-for-tick equivalent; default honours "
+        "SEGBUS_ENGINE (see docs/PERFORMANCE.md). For bench, omitting it "
+        "times both engines and records the speedup.",
     )
 
 

@@ -48,9 +48,8 @@ from repro.emulator.events import PRIO_CA, PRIO_SA, PRIO_STATE
 from repro.emulator.kernel import Simulation
 from repro.errors import EmulationError, SegBusError, StallError
 
-#: the known engine names, in registry order ("batch" resolves lazily —
-#: the lockstep mega-batch kernel lives in repro.emulator.batchkernel)
-ENGINE_NAMES: Tuple[str, ...] = ("stepped", "fast", "batch")
+#: the known engine names, in registry order
+ENGINE_NAMES: Tuple[str, ...] = ("stepped", "fast")
 
 #: environment variable consulted when no engine is given explicitly
 ENGINE_ENV_VAR = "SEGBUS_ENGINE"
@@ -912,16 +911,8 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
 
 def simulation_class(engine: Optional[str] = None) -> Type[Simulation]:
-    """The Simulation class implementing ``engine`` (after resolution).
-
-    The batch kernel registers itself on first use — importing it here
-    (not at module load) keeps ``fastkernel -> batchkernel`` from being a
-    circular import.
-    """
-    name = resolve_engine(engine)
-    if name not in _ENGINES:
-        import repro.emulator.batchkernel  # noqa: F401 - registers "batch"
-    return _ENGINES[name]
+    """The Simulation class implementing ``engine`` (after resolution)."""
+    return _ENGINES[resolve_engine(engine)]
 
 
 def make_simulation(

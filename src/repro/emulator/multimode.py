@@ -21,7 +21,7 @@ schedule decision shared with both estimators, so every engine and every
 estimator agrees on the iteration counts.
 
 The composed :class:`MultiModeReport` digests (trace/timeline/report) hash
-the per-phase structure plus the per-mode digests, so the three-way ENG-1
+the per-phase structure plus the per-mode digests, so the two-way ENG-1
 equivalence of the single-mode engines lifts to mode-switch traces — and
 the MODE-1 oracle (:mod:`repro.testing.oracles`) re-runs the composition
 under every engine to enforce exactly that.

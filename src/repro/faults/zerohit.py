@@ -1,0 +1,249 @@
+"""Zero-hit classification: which fault plans provably never fire?
+
+A reliability sweep runs a *population* of emulations that differ only
+in their fault plans (rate and seed).  At the low rates reliability
+studies care about, most plans draw no fault at all over the whole run,
+so simulating them again would only reproduce the fault-free execution.
+This module proves that ahead of time:
+
+* one *reference* run with a counting injector (:class:`CountingPlan`)
+  records how many fault-draw opportunities each ``(kind, site)`` sees
+  in a fault-free execution;
+* :func:`record_draws` turns that census into a draw count per
+  transient record of a plan;
+* :func:`zero_hit` replays every record's xorshift64* stream for that
+  many draws — all plans at once, vectorized over one numpy state
+  array — and reports the plans whose streams never hit.
+
+A zero-hit plan consults the injector at exactly the reference's
+opportunities and gets "no fault" every time, so it executes the exact
+same event sequence as the reference and its report can be taken from
+the reference instead of re-simulating
+(:func:`repro.analysis.reliability.reliability_sweep` does this for every
+engine).  The vectorized replay is checked against the scalar PRNG at
+import time and falls back to the sequential reference if the check (or
+numpy) is unavailable.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Sequence, Tuple
+
+try:  # numpy vectorizes the predraw; pure Python works too
+    import numpy as _np
+except ImportError:  # pragma: no cover - the image bakes numpy in
+    _np = None
+
+from repro.faults.model import (
+    KIND_BU_DROP,
+    KIND_CORRUPTION,
+    KIND_FU_STALL,
+    KIND_GRANT_LOSS,
+    FaultPlan,
+)
+from repro.faults.prng import DeterministicStream, stream_state
+
+
+# ---------------------------------------------------------------------------
+# vectorized predraw: replay xorshift64* streams ahead of the simulation
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_INV_2_64 = 1.0 / float(1 << 64)
+_XS_MULT = 0x2545F4914F6CDD1D
+
+
+def _python_any_hit(states: Sequence[int], rates: Sequence[float],
+                    draws: Sequence[int]) -> List[bool]:
+    """Reference predraw: sequential xorshift64* exactly like the streams."""
+    hits = []
+    for state, rate, count in zip(states, rates, draws):
+        x = state
+        hit = False
+        for _ in range(count):
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK64
+            x ^= x >> 27
+            if ((x * _XS_MULT) & _MASK64) * _INV_2_64 < rate:
+                hit = True
+                break
+        hits.append(hit)
+    return hits
+
+
+def _vector_any_hit(states: Sequence[int], rates: Sequence[float],
+                    draws: Sequence[int]) -> List[bool]:
+    """Vectorized predraw over one numpy state array (all streams at once).
+
+    Bit-identical to :meth:`DeterministicStream.chance`: same shifts, the
+    same wrapping multiply, the same u64 -> [0, 1) mapping, the same
+    strict ``<`` comparison — verified at import time by
+    :func:`_vector_predraw_ok` and by the unit suite.
+    """
+    x = _np.array(states, dtype=_np.uint64)
+    rate_arr = _np.asarray(rates, dtype=_np.float64)
+    draw_arr = _np.asarray(draws, dtype=_np.int64)
+    hit = _np.zeros(len(x), dtype=bool)
+    if len(x) == 0:
+        return []
+    kmax = int(draw_arr.max())
+    s12, s25, s27 = _np.uint64(12), _np.uint64(25), _np.uint64(27)
+    mult = _np.uint64(_XS_MULT)
+    with _np.errstate(over="ignore"):
+        for k in range(kmax):
+            x ^= x >> s12
+            x ^= x << s25
+            x ^= x >> s27
+            sample = (x * mult).astype(_np.float64) * _INV_2_64
+            hit |= (draw_arr > k) & (sample < rate_arr)
+            # stop once every stream has either hit or run out of draws
+            if not ((~hit) & (draw_arr > k + 1)).any():
+                break
+    return [bool(h) for h in hit]
+
+
+def _vector_predraw_ok() -> bool:
+    """One-time self-check: the vectorized replay must match the streams."""
+    if _np is None:
+        return False
+    state = stream_state(987654321, "segment:1", KIND_CORRUPTION, "0")
+    stream = DeterministicStream(987654321, "segment:1", KIND_CORRUPTION, "0")
+    sequential = [stream.next_float() for _ in range(128)]
+    x = _np.array([state], dtype=_np.uint64)
+    s12, s25, s27 = _np.uint64(12), _np.uint64(25), _np.uint64(27)
+    mult = _np.uint64(_XS_MULT)
+    with _np.errstate(over="ignore"):
+        for expected in sequential:
+            x ^= x >> s12
+            x ^= x << s25
+            x ^= x >> s27
+            value = float((x * mult).astype(_np.float64)[0]) * _INV_2_64
+            if value != expected:
+                return False  # pragma: no cover - platform cast mismatch
+    return True
+
+
+_VECTOR_PREDRAW = _vector_predraw_ok()
+
+
+def predraw_any_hit(states: Sequence[int], rates: Sequence[float],
+                    draws: Sequence[int]) -> List[bool]:
+    """Per stream: does any of the first ``draws[i]`` Bernoulli samples hit?
+
+    Uses the vectorized numpy replay when its import-time self-check
+    passed, the sequential reference otherwise — both produce exactly
+    the decisions :class:`~repro.faults.injector.FaultInjector` would.
+    """
+    if _VECTOR_PREDRAW:
+        return _vector_any_hit(states, rates, draws)
+    return _python_any_hit(states, rates, draws)
+
+
+# ---------------------------------------------------------------------------
+# opportunity counting: how often would a fault plan be consulted?
+# ---------------------------------------------------------------------------
+
+
+class _CountingInjector:
+    """Injector stand-in that tallies draw opportunities and never injects.
+
+    The kernel consults the injector once per opportunity; this records
+    ``(kind, site) -> count`` for the fault-free execution so the
+    zero-hit predraw knows how many samples each record's stream would
+    consume.  ``counters.total`` stays 0, so the reference report is
+    bit-identical to a fault-free run (see ``build_report``).
+    """
+
+    class _ZeroCounters:
+        total = 0
+
+    def __init__(self) -> None:
+        self.opportunities: Dict[Tuple[str, str], int] = {}
+        self.counters = self._ZeroCounters()
+
+    def _count(self, kind: str, site: str) -> None:
+        key = (kind, site)
+        self.opportunities[key] = self.opportunities.get(key, 0) + 1
+
+    def corrupt_package(self, segment_index: int) -> bool:
+        self._count(KIND_CORRUPTION, f"segment:{segment_index}")
+        return False
+
+    def lose_segment_grant(self, segment_index: int) -> bool:
+        self._count(KIND_GRANT_LOSS, f"segment:{segment_index}")
+        return False
+
+    def lose_ca_grant(self) -> bool:
+        self._count(KIND_GRANT_LOSS, "ca")
+        return False
+
+    def stall_ticks(self, process: str) -> int:
+        self._count(KIND_FU_STALL, f"fu:{process}")
+        return 0
+
+    def drop_in_bu(self, left: int, right: int) -> bool:
+        self._count(KIND_BU_DROP, f"bu:{left}:{right}")
+        return False
+
+    def permanent_failures(self) -> Tuple[()]:
+        return ()
+
+    def summary(self) -> Dict[str, object]:  # pragma: no cover - not reported
+        return {"total": 0, "by_kind": {}, "by_site": {}}
+
+
+class CountingPlan:
+    """A fault-plan stand-in whose injector is the counting injector.
+
+    Pass it as any engine's ``fault_plan``; after ``run()`` the
+    simulation's ``faults.opportunities`` holds the census.
+    """
+
+    def injector(self) -> _CountingInjector:
+        return _CountingInjector()
+
+
+def record_draws(plan: FaultPlan,
+                 opportunities: Dict[Tuple[str, str], int]) -> List[Tuple[int, object, int]]:
+    """Per transient record: ``(record index, record, draw count)`` against
+    the reference execution's opportunity tally."""
+    out = []
+    for index, record in enumerate(plan.records):
+        if not record.is_transient:
+            continue
+        count = sum(
+            n for (kind, site), n in opportunities.items()
+            if kind == record.kind and record.matches(site)
+        )
+        out.append((index, record, count))
+    return out
+
+
+def zero_hit(
+    plans: Sequence[FaultPlan],
+    opportunities: Dict[Tuple[str, str], int],
+) -> List[bool]:
+    """Per plan: can it provably not inject anything the reference didn't?
+
+    A plan with permanent records always changes the run, so it is never
+    zero-hit.  All other plans' streams are replayed in *one* vectorized
+    predraw call — per-plan calls would pay numpy's per-op overhead on
+    tiny arrays.
+    """
+    states: List[int] = []
+    rates: List[float] = []
+    draws: List[int] = []
+    owner: List[int] = []
+    for p, plan in enumerate(plans):
+        for index, record, count in record_draws(plan, opportunities):
+            states.append(
+                stream_state(plan.seed, record.site, record.kind, str(index))
+            )
+            rates.append(record.rate)
+            draws.append(count)
+            owner.append(p)
+    verdict = [not plan.permanent_records for plan in plans]
+    for k, hit in enumerate(predraw_any_hit(states, rates, draws)):
+        if hit:
+            verdict[owner[k]] = False
+    return verdict

@@ -24,9 +24,9 @@ Mode semantics deliberately compose *complete iterations*: the SegBus
 schedule ROM is per-mode, so a switch can only happen on an iteration
 boundary after the bus has drained — exactly the points where the
 kernel's end-of-run invariants (empty BU queues, all processes done)
-already hold.  That makes the per-phase behaviour of the stepped, fast
-and batch engines byte-identical by construction, which the three-way
-ENG-1 oracle then enforces on the composed trace digests.
+already hold.  That makes the per-phase behaviour of the stepped and
+fast engines byte-identical by construction, which the two-way ENG-1
+oracle then enforces on the composed trace digests.
 
 This module is pure data + arithmetic: the execution composition lives
 in :mod:`repro.emulator.multimode`, the estimate composition in

@@ -3,9 +3,8 @@
 The ROADMAP's production-serving item: a stdlib-HTTP front end that
 validates emulate/estimate/lint/selftest jobs against the XML scheme
 loaders, dispatches them through the supervised campaign-executor pool,
-memoizes canonical response bytes in a digest-keyed LRU cache, and
-coalesces compatible batch-engine emulations into vectorized
-``run_batch`` groups.  See docs/SERVING.md for the API schema, cache
+and memoizes canonical response bytes in a digest-keyed LRU cache.
+See docs/SERVING.md for the API schema, cache
 semantics and backpressure contract, and ``repro.serve.loadgen`` for
 the seeded load generator the ``serve_throughput`` bench drives.
 """

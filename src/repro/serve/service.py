@@ -18,10 +18,8 @@ One request's life:
    enters the bounded admission queue; when the queue is full the
    request is shed with a deterministic 429 + Retry-After.
 5. The dispatcher thread drains a micro-batch (``batch_window_s`` /
-   ``batch_max``): batch-engine emulations coalesce into one vectorized
-   ``run_batch`` group (:mod:`repro.serve.batcher`), everything else
-   runs through the persistent :class:`CampaignExecutor` pool with
-   per-job timeouts and retries.
+   ``batch_max``) and runs it through the persistent
+   :class:`CampaignExecutor` pool with per-job timeouts and retries.
 6. Fulfilment caches the canonical response bytes and wakes every
    waiter.  Exhausted jobs produce a structured 500 carrying the
    :class:`JobFailure` ledger; failures are never cached.
@@ -46,7 +44,6 @@ from repro.analysis.executor import (
     JobFailure,
 )
 from repro.errors import AdmissionError, JobValidationError
-from repro.serve.batcher import batchable, run_emulate_batch
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     ServeJob,
@@ -204,7 +201,6 @@ class SegbusService:
         self._latencies: Deque[float] = deque(maxlen=4096)
         self._executor_stats: Dict[str, int] = {}
         self._batches = 0
-        self._coalesced_groups = 0
         self._running = False
         self._dispatcher: Optional[threading.Thread] = None
         if auto_start:
@@ -249,7 +245,6 @@ class SegbusService:
             self._latencies.clear()
             self._executor_stats = {}
             self._batches = 0
-            self._coalesced_groups = 0
 
     # -- submission ---------------------------------------------------------
 
@@ -387,8 +382,8 @@ class SegbusService:
                 if not self._queue:
                     self._wake.clear()
                     continue
-            # linger for companions: the window is what lets unrelated
-            # batch-engine requests land in one vectorized group
+            # linger for companions: the window gathers concurrent
+            # requests into one micro-batch for the worker pool
             if self.config.batch_window_s > 0:
                 time.sleep(self.config.batch_window_s)
             with self._lock:
@@ -409,60 +404,25 @@ class SegbusService:
     def _execute_batch(self, batch: List[_Ticket]) -> None:
         with self._lock:
             self._batches += 1
-        vector = [t for t in batch if batchable(self._job_of(t))]
-        rest = [t for t in batch if not batchable(self._job_of(t))]
-        if vector:
-            if len(vector) > 1:
-                with self._lock:
-                    self._coalesced_groups += 1
-            try:
-                outcomes = run_emulate_batch(
-                    [self._job_of(t) for t in vector]
+        result = self.executor.run([self._job_of(t) for t in batch])
+        with self._lock:
+            for key, value in (
+                ("attempts", result.stats.attempts),
+                ("retries", result.stats.retries),
+                ("crashes", result.stats.crashes),
+                ("timeouts", result.stats.timeouts),
+                ("respawned_workers", result.stats.respawned_workers),
+            ):
+                self._executor_stats[key] = (
+                    self._executor_stats.get(key, 0) + value
                 )
-            except Exception as exc:  # defensive: never hang the waiters
-                for ticket in vector:
-                    self._fulfil_failure(
-                        ticket,
-                        [
-                            JobFailure(
-                                label=self._job_of(ticket).label,
-                                attempts=1,
-                                kind="error",
-                                error=type(exc).__name__,
-                                message=str(exc),
-                            )
-                        ],
-                    )
+        failures_by_label = {f.label: f for f in result.failures}
+        for ticket, body in zip(batch, result.results):
+            if body is not None:
+                self._fulfil_ok(ticket, response_bytes(body))
             else:
-                for ticket, (body, failure) in zip(vector, outcomes):
-                    if body is not None:
-                        self._fulfil_ok(ticket, response_bytes(body))
-                    else:
-                        self._fulfil_failure(ticket, [failure])
-        if rest:
-            result = self.executor.run([self._job_of(t) for t in rest])
-            with self._lock:
-                for key, value in (
-                    ("attempts", result.stats.attempts),
-                    ("retries", result.stats.retries),
-                    ("crashes", result.stats.crashes),
-                    ("timeouts", result.stats.timeouts),
-                    ("respawned_workers", result.stats.respawned_workers),
-                ):
-                    self._executor_stats[key] = (
-                        self._executor_stats.get(key, 0) + value
-                    )
-            failures_by_label = {f.label: f for f in result.failures}
-            for ticket, body in zip(rest, result.results):
-                if body is not None:
-                    self._fulfil_ok(ticket, response_bytes(body))
-                else:
-                    failure = failures_by_label.get(
-                        self._job_of(ticket).label
-                    )
-                    self._fulfil_failure(
-                        ticket, [failure] if failure else []
-                    )
+                failure = failures_by_label.get(self._job_of(ticket).label)
+                self._fulfil_failure(ticket, [failure] if failure else [])
 
     def _fulfil_ok(self, ticket: _Ticket, body: bytes) -> None:
         with self._lock:
@@ -503,7 +463,6 @@ class SegbusService:
             inflight = len(self._inflight)
             executor_stats = dict(self._executor_stats)
             batches = self._batches
-            coalesced_groups = self._coalesced_groups
 
         def pct(q: int) -> float:
             if not latencies:
@@ -520,7 +479,6 @@ class SegbusService:
             "queue_depth": queue_depth,
             "inflight": inflight,
             "dispatch_batches": batches,
-            "vectorized_groups": coalesced_groups,
             "executor": executor_stats,
             "cache": self.cache.stats().to_dict(),
             "latency_ms": {

@@ -17,16 +17,14 @@ CI without pytest plugins.  Each scenario reports two things:
   ``--no-wall`` skips the gate entirely for heterogeneous CI runners.
 
 Emulation scenarios are *engine-aware* (see docs/PERFORMANCE.md): by
-default each one is timed under every kernel — the cycle-stepped
-reference, the event-driven fast kernel and the vectorized batch kernel
-— the tick counters are asserted exact-equal across engines at run
-time, and the result records a per-engine median plus **speedup** ratios
-(stepped/fast and stepped/batch).  Scenarios may pin a ``speedup_min``
-(``mp3_2seg_emulate`` demands ≥2.5x fast) and/or a ``speedup_min_batch``
-(``faults_sweep`` demands ≥5x batch) which ``--check`` gates even under
-``--no-wall`` — the ratios are taken on one host, so they are far more
-machine-independent than absolute wall time.  ``--engine`` restricts
-the measurement to a single engine (no speedups).
+default each one is timed under both kernels — the cycle-stepped
+reference and the event-driven fast kernel — the tick counters are
+asserted exact-equal across engines at run time, and the result records
+a per-engine median plus the stepped/fast **speedup** ratio.  Scenarios
+may pin a ``speedup_min`` (``mp3_2seg_emulate`` demands ≥2.5x) which
+``--check`` gates even under ``--no-wall`` — the ratio is taken on one
+host, so it is far more machine-independent than absolute wall time.
+``--engine`` restricts the measurement to a single engine (no speedup).
 
 Since baseline **v3** each engine-aware result also records, per
 engine: **throughput** (models/sec = ``models_per_round`` over the
@@ -34,9 +32,8 @@ median round), **tick-jitter percentiles** (p50/p90/p99 of the
 per-round walls — how much identical deterministic rounds wobble on the
 host), and the **peak traced memory** of one untimed round
 (``tracemalloc``, KiB) — see docs/TESTING.md.  The ``faults_sweep``
-scenario runs a whole reliability grid per engine, which is where the
-batch kernel's aggregate-throughput win (one model construction, one
-lockstep group, zero-hit cloning) is measured and gated.
+scenario runs a whole reliability grid per engine, zero-hit cloning
+included.
 
 Baselines live in ``benchmarks/baselines/BENCH_<scenario>.json`` and are
 (re)written by ``segbus bench --update``.  ``--inject-slowdown N`` is a
@@ -87,8 +84,7 @@ class BenchScenario:
     and the speedup ratio measure the simulation kernels themselves, not
     XML parsing or platform construction.  The runner asserts the
     returned ticks are exact-equal across engines.  ``speedup_min`` pins
-    a minimum stepped/fast ratio and ``speedup_min_batch`` a minimum
-    stepped/batch ratio, both enforced by :func:`check_bench`.
+    a minimum stepped/fast ratio, enforced by :func:`check_bench`.
     ``models_per_round`` is how many model instances one round of the
     thunk simulates — the denominator of the throughput metric.
     """
@@ -98,13 +94,12 @@ class BenchScenario:
     run: Callable[[], Dict[str, int]]
     prepare: Optional[Callable[[str], Callable[[], Dict[str, int]]]] = None
     speedup_min: Optional[float] = None
-    speedup_min_batch: Optional[float] = None
     models_per_round: int = 1
     #: when set, a *simulation-free* evaluation of the same workload
     #: (the stochastic estimator); timed interleaved with the engines as a
     #: pseudo-engine.  Its ticks are recorded under an ``est_`` prefix and
     #: exempt from the cross-engine equality assert (an estimate is not an
-    #: emulation).  ``estimator_speedup_min`` pins batch-median /
+    #: emulation).  ``estimator_speedup_min`` pins fast-median /
     #: estimator-median, the harshest comparison available.
     prepare_estimator: Optional[Callable[[], Callable[[], Dict[str, int]]]] = None
     estimator_speedup_min: Optional[float] = None
@@ -125,9 +120,8 @@ class BenchResult:
 
     ``engine_wall_ms`` maps engine name to its median wall time (empty
     for scenarios without an engine dimension); ``speedup`` is the
-    stepped-median / fast-median ratio and ``batch_speedup`` the
-    stepped-median / batch-median ratio, when the engines involved were
-    measured.  Since v3, three per-engine metric maps ride along:
+    stepped-median / fast-median ratio, when both engines were measured.
+    Since v3, three per-engine metric maps ride along:
     ``throughput_models_per_s`` (models simulated per second of median
     round), ``jitter_ms`` (p50/p90/p99 of the per-round walls) and
     ``peak_mem_kb`` (tracemalloc peak of one untimed round, KiB).
@@ -140,13 +134,12 @@ class BenchResult:
     repeats: int
     engine_wall_ms: Dict[str, float] = field(default_factory=dict)
     speedup: Optional[float] = None
-    batch_speedup: Optional[float] = None
     throughput_models_per_s: Dict[str, float] = field(default_factory=dict)
     jitter_ms: Dict[str, Dict[str, float]] = field(default_factory=dict)
     peak_mem_kb: Dict[str, int] = field(default_factory=dict)
     #: stochastic-estimator pseudo-engine (scenarios with
     #: ``prepare_estimator`` only): median wall of the estimator pass and
-    #: the batch-median / estimator-median per-round ratio
+    #: the fast-median / estimator-median per-round ratio
     estimator_wall_ms: Optional[float] = None
     estimator_speedup: Optional[float] = None
     #: serving scenarios only: per-engine wall-side metrics of the last
@@ -154,7 +147,7 @@ class BenchResult:
     service: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
+        data: Dict[str, object] = {
             "version": BASELINE_VERSION,
             "name": self.name,
             "ticks": dict(sorted(self.ticks.items())),
@@ -166,11 +159,6 @@ class BenchResult:
             },
             "speedup": (
                 round(self.speedup, 2) if self.speedup is not None else None
-            ),
-            "batch_speedup": (
-                round(self.batch_speedup, 2)
-                if self.batch_speedup is not None
-                else None
             ),
             "throughput_models_per_s": {
                 k: round(v, 2)
@@ -191,14 +179,16 @@ class BenchResult:
                 if self.estimator_speedup is not None
                 else None
             ),
-            "service": {
+        }
+        if self.service:  # serving scenarios only
+            data["service"] = {
                 engine: {
                     metric: round(value, 3)
                     for metric, value in sorted(metrics.items())
                 }
                 for engine, metrics in sorted(self.service.items())
-            },
-        }
+            }
+        return data
 
 
 @dataclass
@@ -299,9 +289,9 @@ def _mp3_package_sweep(engine: str = "fast") -> Dict[str, int]:
 
 
 #: the faults-sweep grid: 4 rates x 12 seeds + the fault-free baseline.
-#: Low rates are the realistic regime *and* the one the batch kernel's
-#: zero-hit clone path accelerates hardest — most members provably draw
-#: no fault and are cloned from the group's reference run.
+#: Low rates are the realistic regime *and* the one the sweep's zero-hit
+#: clone path accelerates hardest — most points provably draw no fault
+#: and take the counting reference run's measurement.
 _FAULTS_SWEEP_RATES = (0.0, 0.0001, 0.0002, 0.0005)
 _FAULTS_SWEEP_SEEDS = tuple(range(1, 13))
 FAULTS_SWEEP_MODELS = (
@@ -312,13 +302,12 @@ FAULTS_SWEEP_MODELS = (
 def _faults_sweep_prepare(engine: str) -> Callable[[], Dict[str, int]]:
     """A whole reliability grid per round — the aggregate-throughput bench.
 
-    The stepped/fast engines run the grid the way ``segbus faults``
-    would (one in-process emulation per point, model construction
-    included); the batch engine collapses it into one vectorized
-    lockstep call.  The ticks pin the aggregated curve itself — counts
-    per status plus every mean execution time at nanosecond granularity
-    — so a batch-kernel shortcut that changed any measurement would trip
-    the cross-engine equality assert, not just the baseline.
+    Each engine runs the grid the way ``segbus faults`` would: baseline,
+    counting reference, zero-hit classification, then one in-process
+    emulation per remaining point, model construction included.  The
+    ticks pin the aggregated curve itself — counts per status plus every
+    mean execution time at nanosecond granularity — so a clone shortcut
+    that changed any measurement would trip the baseline.
     """
     from repro.analysis.reliability import reliability_sweep
 
@@ -540,7 +529,6 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
         "MP3 two-segment reliability grid (4 rates x 12 seeds + baseline)",
         _faults_sweep,
         prepare=_faults_sweep_prepare,
-        speedup_min_batch=5.0,
         models_per_round=FAULTS_SWEEP_MODELS,
     ),
     BenchScenario(
@@ -726,10 +714,10 @@ def run_scenario(
     if estimator_walls:
         ordered = sorted(estimator_walls)
         estimator_wall_ms = ordered[len(ordered) // 2] * factor
-        if "batch" in raw_walls:  # per-round ratio, like _ratio above
+        if "fast" in raw_walls:  # per-round ratio, like _ratio above
             ratios = sorted(
-                b / e
-                for b, e in zip(raw_walls["batch"], estimator_walls)
+                f / e
+                for f, e in zip(raw_walls["fast"], estimator_walls)
                 if e > 0
             )
             if ratios:
@@ -748,7 +736,6 @@ def run_scenario(
         repeats=repeats,
         engine_wall_ms=engine_wall_ms,
         speedup=_ratio("stepped", "fast"),
-        batch_speedup=_ratio("stepped", "batch"),
         throughput_models_per_s={
             name: item.models_per_round * 1e3 / median
             for name, median in engine_wall_ms.items()
@@ -879,7 +866,6 @@ def load_baseline(name: str, baseline_dir: Union[str, Path]) -> BenchResult:
             f"baseline {path}: unsupported version {data.get('version')!r}"
         )
     speedup = data.get("speedup")
-    batch_speedup = data.get("batch_speedup")
     return BenchResult(
         name=str(data["name"]),
         ticks={str(k): int(v) for k, v in dict(data["ticks"]).items()},
@@ -891,9 +877,6 @@ def load_baseline(name: str, baseline_dir: Union[str, Path]) -> BenchResult:
             for k, v in dict(data.get("engine_wall_ms", {})).items()
         },
         speedup=float(speedup) if speedup is not None else None,
-        batch_speedup=(
-            float(batch_speedup) if batch_speedup is not None else None
-        ),
         throughput_models_per_s={
             str(k): float(v)
             for k, v in dict(data.get("throughput_models_per_s", {})).items()
@@ -952,40 +935,34 @@ def check_bench(
         try:
             item = scenario(result.name)
             speedup_min = item.speedup_min
-            speedup_min_batch = item.speedup_min_batch
             estimator_min = item.estimator_speedup_min
             hit_rate_min = item.cache_hit_rate_min
         except SegBusError:  # pragma: no cover - results come from the registry
-            speedup_min = speedup_min_batch = estimator_min = None
+            speedup_min = estimator_min = None
             hit_rate_min = None
-        for gate_min, measured, kernel in (
-            (speedup_min, result.speedup, "fast"),
-            (speedup_min_batch, result.batch_speedup, "batch"),
-        ):
-            if gate_min is None:
-                continue
-            if measured is None:
+        if speedup_min is not None:
+            if result.speedup is None:
                 check.notes.append(
-                    f"{result.name}: {kernel} speedup gate (≥{gate_min}x) "
+                    f"{result.name}: fast speedup gate (≥{speedup_min}x) "
                     "skipped — run without --engine to time every engine"
                 )
-            elif measured < gate_min:
+            elif result.speedup < speedup_min:
                 check.failures.append(
-                    f"{result.name}: {kernel} engine speedup {measured:.2f}x "
-                    f"below the pinned minimum {gate_min}x "
-                    f"({kernel}-kernel perf regression)"
+                    f"{result.name}: fast engine speedup "
+                    f"{result.speedup:.2f}x below the pinned minimum "
+                    f"{speedup_min}x (fast-kernel perf regression)"
                 )
         if estimator_min is not None:
             if result.estimator_speedup is None:
                 check.notes.append(
                     f"{result.name}: estimator speedup gate "
-                    f"(≥{estimator_min}x) skipped — needs the batch engine "
+                    f"(≥{estimator_min}x) skipped — needs the fast engine "
                     "timed in the same run (no --engine restriction)"
                 )
             elif result.estimator_speedup < estimator_min:
                 check.failures.append(
                     f"{result.name}: stochastic estimator only "
-                    f"{result.estimator_speedup:.2f}x faster than the batch "
+                    f"{result.estimator_speedup:.2f}x faster than the fast "
                     f"engine, below the pinned minimum {estimator_min}x "
                     "(estimator perf regression)"
                 )
@@ -1030,8 +1007,7 @@ def check_bench(
 
 def format_results(results: Sequence[BenchResult]) -> str:
     lines = [
-        f"{'scenario':<24} {'wall_ms':>10} {'speedup':>8} {'batch':>8} "
-        f"{'est':>8}  ticks"
+        f"{'scenario':<24} {'wall_ms':>10} {'speedup':>8} {'est':>8}  ticks"
     ]
     for result in results:
         ticks = ", ".join(
@@ -1040,11 +1016,6 @@ def format_results(results: Sequence[BenchResult]) -> str:
         speedup = (
             f"{result.speedup:.2f}x" if result.speedup is not None else "-"
         )
-        batch = (
-            f"{result.batch_speedup:.2f}x"
-            if result.batch_speedup is not None
-            else "-"
-        )
         est = (
             f"{result.estimator_speedup:.0f}x"
             if result.estimator_speedup is not None
@@ -1052,6 +1023,6 @@ def format_results(results: Sequence[BenchResult]) -> str:
         )
         lines.append(
             f"{result.name:<24} {result.wall_ms:>10.1f} {speedup:>8} "
-            f"{batch:>8} {est:>8}  {ticks}"
+            f"{est:>8}  {ticks}"
         )
     return "\n".join(lines)

@@ -386,8 +386,8 @@ def check_goldens(
 
     The store holds a single set of digests per pair; every engine in
     ``engines`` must reproduce them exactly, so the same pins catch drift
-    in the stepped kernel, the fast kernel, the batch kernel, or any
-    combination — the matrix is pairs x engines.
+    in the stepped kernel, the fast kernel, or both — the matrix is
+    pairs x engines.
     """
     store = load_store(store_path)
     check = GoldenCheck()

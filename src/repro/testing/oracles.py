@@ -23,11 +23,11 @@ independent directions and fails loudly on any divergence:
   the mapped schedule exactly (``CONS-*``).
 
 * **ENG — engine equivalence.**  The same model runs through *every*
-  simulation engine (the cycle-stepped reference, the event-driven fast
-  kernel and the vectorized batch kernel, see docs/PERFORMANCE.md) and
-  the trace, timeline and report digests plus the executed event count
-  must be byte-identical across the whole matrix (``ENG-1``) — the
-  derived kernels are only allowed constant-factor optimizations, never
+  simulation engine (the cycle-stepped reference and the event-driven
+  fast kernel, see docs/PERFORMANCE.md) and the trace, timeline and
+  report digests plus the executed event count must be byte-identical
+  across the whole matrix (``ENG-1``) — the derived kernel is only
+  allowed constant-factor optimizations, never
   observable ones.
 
 * **SAN — stochastic estimator band.**  The static contention estimator
@@ -47,7 +47,7 @@ independent directions and fails loudly on any divergence:
   across every switch boundary — each phase starts from drained queues);
   the end-to-end composed stochastic estimate stays inside the SAN-1
   band; and the composed trace/timeline/report digests are byte-identical
-  across all three engines (ENG-1 lifted to mode-switch traces).
+  across both engines (ENG-1 lifted to mode-switch traces).
 
 On top, the protocol conformance checker
 (:func:`repro.emulator.conformance.check_conformance`) runs with a live

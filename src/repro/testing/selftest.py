@@ -12,8 +12,8 @@ Two stages, both deterministic:
    (:func:`~repro.testing.oracles.run_multimode_oracle`), everything else
    the single-mode differential oracle.  Any violation of the analytic
    bounds, the total-time law, TCT monotonicity, package conservation,
-   engine equivalence (ENG-1 runs every model through the stepped, fast
-   *and* batch kernels and compares digests), or protocol conformance
+   engine equivalence (ENG-1 runs every model through the stepped *and*
+   fast kernels and compares digests), or protocol conformance
    fails the selftest with the model's seed and family (re-run the
    matching ``generate_*`` function to reproduce it alone).
 2. **Golden traces** — re-emulate every ``examples/models/`` pair *and*

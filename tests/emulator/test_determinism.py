@@ -25,12 +25,13 @@ from repro.testing.generators import generate_model
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 _DIGEST_SCRIPT = """
+import hashlib
+
+from repro.analysis.reliability import reliability_sweep
 from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
-from repro.emulator.batchkernel import BatchMember, run_batch
 from repro.emulator.kernel import PlatformSpec, Simulation
 from repro.emulator.report import build_report
 from repro.emulator.trace import Tracer
-from repro.faults import FaultPlan, RetryPolicy
 from repro.testing.generators import generate_model
 
 def digests(application, platform):
@@ -46,21 +47,14 @@ for d in digests(mp3_decoder_psdf(), paper_platform(3)):
 for d in digests(model.application, model.platform):
     print(d)
 
-# one faulted lockstep batch: per-member report digests must be just as
-# independent of str-hash randomization as the single-run engines
-spec = PlatformSpec.from_platform(paper_platform(2, package_size=8))
-members = [
-    BatchMember(
-        label="m%d" % seed,
-        application=mp3_decoder_psdf(),
-        spec=spec,
-        fault_plan=FaultPlan.transient(seed=seed, corruption_rate=0.01),
-        retry_policy=RetryPolicy(on_exhaustion="degrade"),
-    )
-    for seed in (1, 2, 3)
-]
-for outcome in run_batch(members).outcomes:
-    print(outcome.report.digest())
+# one faulted reliability sweep: the opportunity census and zero-hit
+# classification must be just as independent of str-hash randomization
+# as the single-run engines
+curve = reliability_sweep(
+    mp3_decoder_psdf(), paper_platform(2, package_size=8),
+    rates=[0.0, 0.0005, 0.01], seeds=(1, 2, 3), workers=1,
+)
+print(hashlib.sha256(curve.to_json().encode()).hexdigest())
 """
 
 
@@ -93,32 +87,19 @@ class TestSameProcess:
         assert len(tracer.canonical_lines()) == len(tracer)
         assert sum(tracer.kind_counts().values()) == len(tracer)
 
-    def test_batch_double_run_identical_digests(self):
-        from repro.emulator.batchkernel import BatchMember, run_batch
-        from repro.faults import FaultPlan, RetryPolicy
+    def test_reliability_sweep_double_run_identical_curves(self):
+        from repro.analysis.reliability import reliability_sweep
 
-        def batch_digests():
-            spec = PlatformSpec.from_platform(
-                paper_platform(2, package_size=8)
-            )
-            members = [
-                BatchMember(
-                    label=f"m{seed}",
-                    application=mp3_decoder_psdf(),
-                    spec=spec,
-                    fault_plan=FaultPlan.transient(
-                        seed=seed, corruption_rate=0.01
-                    ),
-                    retry_policy=RetryPolicy(on_exhaustion="degrade"),
-                )
-                for seed in (1, 2, 3, 4)
-            ]
-            return tuple(
-                outcome.report.digest()
-                for outcome in run_batch(members).outcomes
-            )
+        def curve():
+            return reliability_sweep(
+                mp3_decoder_psdf(),
+                paper_platform(2, package_size=8),
+                rates=[0.0, 0.0005, 0.01],
+                seeds=(1, 2, 3, 4),
+                workers=1,
+            ).to_json()
 
-        assert batch_digests() == batch_digests()
+        assert curve() == curve()
 
 
 class TestAcrossInterpreters:
@@ -135,7 +116,7 @@ class TestAcrossInterpreters:
             check=True,
         )
         lines = result.stdout.split()
-        assert len(lines) == 9
+        assert len(lines) == 7
         return lines
 
     def test_digests_stable_across_hash_randomization(self):

@@ -1,5 +1,7 @@
 """CLI ``--workload``: named scenarios on emulate and estimate."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -85,3 +87,24 @@ class TestArgumentValidation:
         psm.write_text(psm_to_xml(paper_platform(3)))
         assert main(["emulate", str(psdf), str(psm)]) == 0
         assert "Total execution time:" in capsys.readouterr().out
+
+
+class TestRemovedBatchEngine:
+    """``batch`` is no longer an engine: each boundary refuses it cleanly."""
+
+    def test_env_var_exits_2_naming_the_known_engines(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("SEGBUS_ENGINE", "batch")
+        assert main(["emulate", "--workload", "bursty"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("segbus: error: unknown emulation engine")
+        assert "'batch'; known engines: stepped, fast" in err
+
+    def test_serve_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--engine", "batch"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "invalid choice: 'batch'" in err

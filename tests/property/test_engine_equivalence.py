@@ -4,16 +4,15 @@ Every generated model — fault-free, under seeded transient fault plans,
 with retry/timeout policies (including degraded outcomes), and under the
 store-and-forward protocol — must produce *byte-identical* trace,
 timeline and report digests and the same executed-event count across the
-whole engine matrix: the cycle-stepped reference, the event-driven fast
-kernel and the vectorized batch kernel.  This is the enforcement arm of
-the engine equivalence contract (docs/PERFORMANCE.md): anything the
-stepped kernel observes, the derived kernels must observe identically.
+engine matrix: the cycle-stepped reference and the event-driven fast
+kernel.  This is the enforcement arm of the engine equivalence contract
+(docs/PERFORMANCE.md): anything the stepped kernel observes, the derived
+kernel must observe identically.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.emulator.batchkernel import BatchSimulation
 from repro.emulator.config import EmulationConfig
 from repro.emulator.fastkernel import FastSimulation
 from repro.emulator.kernel import PlatformSpec, Simulation
@@ -22,7 +21,7 @@ from repro.emulator.trace import Tracer
 from repro.faults import FaultPlan, RetryPolicy
 from repro.testing.generators import generate_model
 
-ENGINES = (Simulation, FastSimulation, BatchSimulation)
+ENGINES = (Simulation, FastSimulation)
 
 
 def _observe(engine_cls, application, spec, config=None, fault_plan=None,

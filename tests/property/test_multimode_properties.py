@@ -6,7 +6,7 @@ Three laws over random mode-switch schedules on lint-clean inputs:
   completion (the kernels' end-of-iteration invariants are the drain, so
   no schedule can deadlock a switch);
 * **engine lift** — the composed trace/timeline/report digests are
-  byte-identical across the stepped, fast and batch kernels for every
+  byte-identical across the stepped and fast kernels for every
   schedule (ENG-1 lifted to mode-switch traces);
 * **zero-cost degeneration** — with a zero :class:`TransitionSpec` the
   composition collapses to the exact sum of per-mode runs, and the

@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 
 from repro.analysis.analytic import analytic_estimate
 from repro.analysis.stochastic import stochastic_estimate
-from repro.emulator.batchkernel import BatchSimulation
 from repro.emulator.config import EmulationConfig
 from repro.emulator.fastkernel import FastSimulation
 from repro.emulator.kernel import PlatformSpec, Simulation
 from repro.testing.generators import generate_model
 from repro.testing.oracles import OracleTolerance
 
-ENGINES = (Simulation, FastSimulation, BatchSimulation)
+ENGINES = (Simulation, FastSimulation)
 
 seeds = st.integers(min_value=1, max_value=50_000)
 

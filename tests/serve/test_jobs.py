@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.emulator.fastkernel import resolve_engine
+from repro.emulator.fastkernel import ENGINE_NAMES, resolve_engine
 from repro.errors import JobValidationError
 from repro.serve.jobs import (
     JOB_KINDS,
@@ -110,10 +110,10 @@ class TestParseJob:
         assert job.engine == "fast"
         # an explicit engine on the payload wins over the server default
         job = parse_job(
-            {"kind": "emulate", "workload": "bursty", "engine": "batch"},
+            {"kind": "emulate", "workload": "bursty", "engine": "stepped"},
             default_engine="fast",
         )
-        assert job.engine == "batch"
+        assert job.engine == "stepped"
 
 
 class TestValidateJob:
@@ -159,10 +159,12 @@ class TestCacheKey:
     def test_single_field_mutations_give_distinct_keys(self, inline_schemes):
         psdf_xml, psm_xml = inline_schemes
         base = {"kind": "emulate", "psdf_xml": psdf_xml, "psm_xml": psm_xml}
+        # whichever engine the default does not resolve to
+        other_engine = next(e for e in ENGINE_NAMES if e != resolve_engine())
         mutations = [
             {**base, "kind": "estimate"},
             {**base, "kind": "lint"},
-            {**base, "engine": "batch"},
+            {**base, "engine": other_engine},
             {**base, "strict": True},
             {**base, "psdf_xml": psdf_xml + "<!-- -->"},
             {**base, "psm_xml": psm_xml + "<!-- -->"},

@@ -96,6 +96,20 @@ class TestJobRequests:
         assert status == 400
         assert headers["X-Segbus-Cache"] == "rejected"
 
+    def test_removed_batch_engine_is_400_naming_the_engines(
+        self, http_server, inline_schemes
+    ):
+        payload = {**_emulate_payload(inline_schemes), "engine": "batch"}
+        status, headers, data = _request(
+            http_server, "POST", "/v1/jobs", body=json.dumps(payload)
+        )
+        assert status == 400
+        assert headers["X-Segbus-Cache"] == "rejected"
+        error = json.loads(data)["error"]
+        assert error["kind"] == "invalid"
+        assert "'batch'" in error["message"]
+        assert "stepped, fast" in error["message"]
+
     def test_oversized_body_is_413(self, http_server):
         # advertise an over-cap Content-Length; the server must refuse
         # before attempting to read the body

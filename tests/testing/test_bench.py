@@ -120,21 +120,18 @@ class TestGates:
 class TestEngineAwareness:
     def test_every_engine_timed_by_default(self):
         result = run_bench(names=[EMU], repeats=1)[0]
-        assert set(result.engine_wall_ms) == {"stepped", "fast", "batch"}
+        assert set(result.engine_wall_ms) == {"stepped", "fast"}
         assert result.speedup is not None and result.speedup > 0
-        assert result.batch_speedup is not None and result.batch_speedup > 0
 
     def test_single_engine_run_has_no_speedup(self):
         result = run_bench(names=[EMU], repeats=1, engine="stepped")[0]
         assert set(result.engine_wall_ms) == {"stepped"}
         assert result.speedup is None
-        assert result.batch_speedup is None
 
     def test_engines_report_identical_ticks(self):
         stepped = run_bench(names=[EMU], repeats=1, engine="stepped")[0]
         fast = run_bench(names=[EMU], repeats=1, engine="fast")[0]
-        batch = run_bench(names=[EMU], repeats=1, engine="batch")[0]
-        assert stepped.ticks == fast.ticks == batch.ticks
+        assert stepped.ticks == fast.ticks
 
     def test_tick_divergence_between_engines_raises(self):
         item = BenchScenario(
@@ -152,9 +149,8 @@ class TestEngineAwareness:
         results = run_bench(names=[EMU], repeats=1)
         write_baselines(results, tmp_path)
         loaded = load_baseline(EMU, tmp_path)
-        assert set(loaded.engine_wall_ms) == {"stepped", "fast", "batch"}
+        assert set(loaded.engine_wall_ms) == {"stepped", "fast"}
         assert loaded.speedup == round(results[0].speedup, 2)
-        assert loaded.batch_speedup == round(results[0].batch_speedup, 2)
         assert set(loaded.throughput_models_per_s) == set(
             loaded.engine_wall_ms
         )
@@ -226,71 +222,13 @@ class TestSpeedupGate:
         assert any("speedup gate" in n for n in check.notes)
 
 
-class TestBatchSpeedupGate:
-    """faults_sweep pins ``speedup_min_batch`` — gate it synthetically.
-
-    The scenario itself runs a whole reliability grid per engine, so the
-    gate logic is exercised on hand-built results against a hand-built
-    baseline instead of re-running the grid in the unit suite (the real
-    measurement lives in the committed baseline and CI's --check run).
-    """
-
-    GATED_BATCH = "faults_sweep"
-
-    def _result(self, batch_speedup):
-        return BenchResult(
-            name=self.GATED_BATCH,
-            ticks={"completed": 48},
-            wall_ms=1.0,
-            wall_median_ms=1.0,
-            repeats=1,
-            engine_wall_ms={"stepped": 18.0, "fast": 6.0, "batch": 1.0},
-            speedup=3.0,
-            batch_speedup=batch_speedup,
-        )
-
-    def test_scenario_pins_batch_minimum(self):
-        assert scenario(self.GATED_BATCH).speedup_min_batch == 5.0
-
-    def test_low_batch_speedup_fails_even_without_wall(self, tmp_path):
-        write_baselines([self._result(18.0)], tmp_path)
-        check = check_bench(
-            [self._result(1.2)], baseline_dir=tmp_path, check_wall=False
-        )
-        assert not check.ok
-        assert any(
-            "batch engine speedup" in f and "below the pinned minimum" in f
-            for f in check.failures
-        )
-
-    def test_missing_batch_speedup_noted_not_failed(self, tmp_path):
-        write_baselines([self._result(18.0)], tmp_path)
-        check = check_bench(
-            [self._result(None)], baseline_dir=tmp_path, check_wall=False
-        )
-        assert check.ok
-        assert any("batch speedup gate" in n for n in check.notes)
-
-    def test_committed_baseline_records_ten_x_throughput(self):
-        # the acceptance bar: the committed measurement must show >=10x
-        # aggregate throughput for batch vs stepped on the faults sweep,
-        # with the per-engine memory and jitter columns populated
-        baseline = load_baseline(self.GATED_BATCH, DEFAULT_BASELINE_DIR)
-        assert baseline.batch_speedup is not None
-        assert baseline.batch_speedup >= 10.0
-        throughput = baseline.throughput_models_per_s
-        assert throughput["batch"] >= 10.0 * throughput["stepped"]
-        assert set(baseline.jitter_ms) == {"stepped", "fast", "batch"}
-        assert set(baseline.peak_mem_kb) == {"stepped", "fast", "batch"}
-
-
 class TestEstimatorGate:
     """dse_estimator_sweep pins ``estimator_speedup_min`` at 50x.
 
-    Gate logic runs on hand-built results (same convention as the batch
-    gate above); one live single-repeat run covers the real plumbing —
-    interleaved estimator timing, ``est_``-prefixed ticks, the measured
-    ratio — without re-running the full grid per test.
+    Gate logic runs on hand-built results (same convention as the
+    speedup gate above); one live single-repeat run covers the real
+    plumbing — interleaved estimator timing, ``est_``-prefixed ticks,
+    the measured ratio — without re-running the full grid per test.
     """
 
     GATED_EST = "dse_estimator_sweep"
@@ -302,9 +240,8 @@ class TestEstimatorGate:
             wall_ms=1.0,
             wall_median_ms=1.0,
             repeats=1,
-            engine_wall_ms={"stepped": 40.0, "fast": 12.0, "batch": 9.0},
+            engine_wall_ms={"stepped": 40.0, "fast": 12.0},
             speedup=3.3,
-            batch_speedup=4.4,
             estimator_wall_ms=0.12,
             estimator_speedup=estimator_speedup,
         )
@@ -349,7 +286,7 @@ class TestEstimatorGate:
 
     def test_committed_baseline_records_fifty_x(self):
         # the acceptance bar: the committed measurement must show the
-        # estimator >=50x faster than the batch engine on the DSE grid
+        # estimator >=50x faster than the fast engine on the DSE grid
         baseline = load_baseline(self.GATED_EST, DEFAULT_BASELINE_DIR)
         assert baseline.estimator_speedup is not None
         assert baseline.estimator_speedup >= 50.0

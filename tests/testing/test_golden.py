@@ -117,8 +117,8 @@ class TestWorkloadGoldens:
 
         check = check_workload_goldens(DEFAULT_WORKLOAD_STORE)
         assert check.ok, check.format()
-        # two scenarios x three engines
-        assert check.checked == 6
+        # two scenarios x two engines
+        assert check.checked == 4
 
     def test_committed_store_pins_the_required_scenarios(self):
         from repro.testing.golden import (
