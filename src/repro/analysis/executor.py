@@ -352,7 +352,7 @@ def canonical_digest(*values: object) -> str:
 
 
 def job_digest(job: object) -> str:
-    """Default checkpoint key: the job's own digest, or its canonical form."""
+    """Checkpoint key: the job's own digest, or its canonical form."""
     method = getattr(job, "digest", None)
     if callable(method):
         return str(method())
@@ -582,7 +582,7 @@ class CampaignExecutor:
     be canonically digestible (see :func:`canonical_digest`).
 
     Parameters mirror the CLI flags: ``policy`` (timeout/retries),
-    ``workers``/``serial_threshold``/``chunksize`` (scheduling),
+    ``workers``/``serial_threshold`` (scheduling),
     ``checkpoint_dir``/``checkpoint_name``/``resume`` (journal), and
     ``chaos`` (a :class:`repro.testing.chaos.ChaosPlan`; defaults to the
     ``SEGBUS_CHAOS`` environment spec, which is how the chaos suite
@@ -596,11 +596,9 @@ class CampaignExecutor:
         policy: Optional[ExecutorPolicy] = None,
         workers: Optional[int] = None,
         serial_threshold: int = 3,
-        chunksize: Optional[int] = None,
         checkpoint_dir=None,
         checkpoint_name: Optional[str] = None,
         resume: bool = False,
-        digest_fn: Callable[[object], str] = job_digest,
         on_result: Optional[Callable[[str, object], None]] = None,
         chaos=None,
     ) -> None:
@@ -608,11 +606,9 @@ class CampaignExecutor:
         self.policy = policy or ExecutorPolicy()
         self.workers = workers
         self.serial_threshold = serial_threshold
-        self.chunksize = chunksize
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_name = checkpoint_name
         self.resume = resume
-        self.digest_fn = digest_fn
         self.on_result = on_result
         if chaos is None:
             from repro.testing.chaos import ChaosPlan  # local: no cycle
@@ -650,7 +646,7 @@ class CampaignExecutor:
             getattr(job, "label", None) or f"job{i}"
             for i, job in enumerate(jobs)
         ]
-        self._digests = [self.digest_fn(job) for job in jobs]
+        self._digests = [job_digest(job) for job in jobs]
 
         self._open_journal()
         pending = self._replay(jobs)
@@ -900,12 +896,9 @@ class CampaignExecutor:
         return count
 
     def _chunk_size(self, pending: int, workers: int) -> int:
-        if self.chunksize is not None:
-            size = max(1, self.chunksize)
-        else:
-            # large batches amortize pipe round-trips; small ones keep
-            # per-job supervision (timeout attribution) exact
-            size = max(1, min(16, pending // (workers * 4)))
+        # large batches amortize pipe round-trips; small ones keep
+        # per-job supervision (timeout attribution) exact
+        size = max(1, min(16, pending // (workers * 4)))
         logger.debug(
             "executor: chunksize %d (%d job(s) over %d worker(s))",
             size,

@@ -37,6 +37,7 @@ from repro.emulator.report import build_report
 from repro.errors import FaultConfigError, SegBusError
 from repro.faults.model import KIND_CORRUPTION, TRANSIENT_KINDS, FaultPlan
 from repro.faults.policy import RetryPolicy
+from repro.faults.zerohit import CountingPlan, zero_hit
 from repro.model.elements import SegBusPlatform
 from repro.psdf.graph import PSDFGraph
 
@@ -252,7 +253,7 @@ def reliability_sweep(
     Points whose fault streams provably never fire are not simulated: one
     counting reference run censuses the fault-draw opportunities of the
     fault-free execution, :func:`repro.faults.zerohit.zero_hit` replays
-    every point's streams against it in one vectorized call, and each
+    every point's streams against it, and each
     zero-hit point takes the reference's measurement — exactly what its
     own run would report, since it would execute the same events.  When
     the reference itself fails or degrades (say a ``timeout_ticks``
@@ -274,10 +275,6 @@ def reliability_sweep(
             f"reliability sweep needs a transient fault kind, got {kind!r} "
             f"(expected one of {sorted(TRANSIENT_KINDS)})"
         )
-    # imported here: the import runs the predraw self-check (a few ms),
-    # and processes that never sweep (the server) should not pay it
-    from repro.faults.zerohit import CountingPlan, zero_hit
-
     policy = retry_policy or RetryPolicy(on_exhaustion="degrade")
     resolved = resolve_engine(engine)
     emulator = SegBusEmulator.from_models(application, platform, config=config)

@@ -565,22 +565,32 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.server import create_server
-    from repro.serve.service import SegbusService, ServiceConfig
+def _serve_config(args: argparse.Namespace):
+    """The ``ServiceConfig`` a ``segbus serve`` command line asks for."""
+    from dataclasses import replace
+
+    from repro.serve.service import ServiceConfig
 
     config = ServiceConfig(
         engine=args.engine,
         workers=args.serve_workers,
         timeout_s=args.timeout,
-        retries=args.retries if args.retries is not None else 3,
         queue_depth=args.queue_depth,
         cache_entries=args.cache_entries,
         cache_bytes=int(args.cache_mb * (1 << 20)),
-        batch_window_s=args.batch_window_ms / 1e3,
-        batch_max=args.batch_max,
     )
-    service = SegbusService(config)
+    if args.retries is None:
+        return config
+    # --retries counts retries after the first attempt, as on every
+    # other subcommand
+    return replace(config, max_attempts=args.retries + 1)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve.server import create_server
+    from repro.serve.service import SegbusService
+
+    service = SegbusService(_serve_config(args))
     server = create_server(service, host=args.host, port=args.port)
 
     # a `segbus serve … &` launched from a non-interactive shell inherits
@@ -1021,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries",
         type=int,
         default=None,
-        help="attempts per job including the first (default 3)",
+        help="retries per job after the first attempt (default 2)",
     )
     srv.add_argument(
         "--queue-depth",
@@ -1041,18 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=64.0,
         help="result cache byte cap in MiB (default 64)",
-    )
-    srv.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        help="micro-batch gathering window in milliseconds (default 5)",
-    )
-    srv.add_argument(
-        "--batch-max",
-        type=int,
-        default=32,
-        help="max jobs per dispatcher micro-batch (default 32)",
     )
     _add_engine_flag(srv)
     srv.set_defaults(func=_cmd_serve)

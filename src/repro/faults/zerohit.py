@@ -12,27 +12,19 @@ This module proves that ahead of time:
 * :func:`record_draws` turns that census into a draw count per
   transient record of a plan;
 * :func:`zero_hit` replays every record's xorshift64* stream for that
-  many draws — all plans at once, vectorized over one numpy state
-  array — and reports the plans whose streams never hit.
+  many draws and reports the plans whose streams never hit.
 
 A zero-hit plan consults the injector at exactly the reference's
 opportunities and gets "no fault" every time, so it executes the exact
 same event sequence as the reference and its report can be taken from
 the reference instead of re-simulating
 (:func:`repro.analysis.reliability.reliability_sweep` does this for every
-engine).  The vectorized replay is checked against the scalar PRNG at
-import time and falls back to the sequential reference if the check (or
-numpy) is unavailable.
+engine).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-try:  # numpy vectorizes the predraw; pure Python works too
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 from repro.faults.model import (
     KIND_BU_DROP,
@@ -41,11 +33,11 @@ from repro.faults.model import (
     KIND_GRANT_LOSS,
     FaultPlan,
 )
-from repro.faults.prng import DeterministicStream, stream_state
+from repro.faults.prng import stream_state
 
 
 # ---------------------------------------------------------------------------
-# vectorized predraw: replay xorshift64* streams ahead of the simulation
+# predraw: replay xorshift64* streams ahead of the simulation
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
@@ -53,9 +45,16 @@ _INV_2_64 = 1.0 / float(1 << 64)
 _XS_MULT = 0x2545F4914F6CDD1D
 
 
-def _python_any_hit(states: Sequence[int], rates: Sequence[float],
+def predraw_any_hit(states: Sequence[int], rates: Sequence[float],
                     draws: Sequence[int]) -> List[bool]:
-    """Reference predraw: sequential xorshift64* exactly like the streams."""
+    """Per stream: does any of the first ``draws[i]`` Bernoulli samples hit?
+
+    Replays xorshift64* exactly like
+    :meth:`~repro.faults.prng.DeterministicStream.chance`
+    (same shifts, wrapping multiply, u64 -> [0, 1) mapping and strict
+    ``<``), so it makes exactly the decisions
+    :class:`~repro.faults.injector.FaultInjector` would.
+    """
     hits = []
     for state, rate, count in zip(states, rates, draws):
         x = state
@@ -69,74 +68,6 @@ def _python_any_hit(states: Sequence[int], rates: Sequence[float],
                 break
         hits.append(hit)
     return hits
-
-
-def _vector_any_hit(states: Sequence[int], rates: Sequence[float],
-                    draws: Sequence[int]) -> List[bool]:
-    """Vectorized predraw over one numpy state array (all streams at once).
-
-    Bit-identical to :meth:`DeterministicStream.chance`: same shifts, the
-    same wrapping multiply, the same u64 -> [0, 1) mapping, the same
-    strict ``<`` comparison — verified at import time by
-    :func:`_vector_predraw_ok` and by the unit suite.
-    """
-    x = _np.array(states, dtype=_np.uint64)
-    rate_arr = _np.asarray(rates, dtype=_np.float64)
-    draw_arr = _np.asarray(draws, dtype=_np.int64)
-    hit = _np.zeros(len(x), dtype=bool)
-    if len(x) == 0:
-        return []
-    kmax = int(draw_arr.max())
-    s12, s25, s27 = _np.uint64(12), _np.uint64(25), _np.uint64(27)
-    mult = _np.uint64(_XS_MULT)
-    with _np.errstate(over="ignore"):
-        for k in range(kmax):
-            x ^= x >> s12
-            x ^= x << s25
-            x ^= x >> s27
-            sample = (x * mult).astype(_np.float64) * _INV_2_64
-            hit |= (draw_arr > k) & (sample < rate_arr)
-            # stop once every stream has either hit or run out of draws
-            if not ((~hit) & (draw_arr > k + 1)).any():
-                break
-    return [bool(h) for h in hit]
-
-
-def _vector_predraw_ok() -> bool:
-    """One-time self-check: the vectorized replay must match the streams."""
-    if _np is None:
-        return False
-    state = stream_state(987654321, "segment:1", KIND_CORRUPTION, "0")
-    stream = DeterministicStream(987654321, "segment:1", KIND_CORRUPTION, "0")
-    sequential = [stream.next_float() for _ in range(128)]
-    x = _np.array([state], dtype=_np.uint64)
-    s12, s25, s27 = _np.uint64(12), _np.uint64(25), _np.uint64(27)
-    mult = _np.uint64(_XS_MULT)
-    with _np.errstate(over="ignore"):
-        for expected in sequential:
-            x ^= x >> s12
-            x ^= x << s25
-            x ^= x >> s27
-            value = float((x * mult).astype(_np.float64)[0]) * _INV_2_64
-            if value != expected:
-                return False  # pragma: no cover - platform cast mismatch
-    return True
-
-
-_VECTOR_PREDRAW = _vector_predraw_ok()
-
-
-def predraw_any_hit(states: Sequence[int], rates: Sequence[float],
-                    draws: Sequence[int]) -> List[bool]:
-    """Per stream: does any of the first ``draws[i]`` Bernoulli samples hit?
-
-    Uses the vectorized numpy replay when its import-time self-check
-    passed, the sequential reference otherwise — both produce exactly
-    the decisions :class:`~repro.faults.injector.FaultInjector` would.
-    """
-    if _VECTOR_PREDRAW:
-        return _vector_any_hit(states, rates, draws)
-    return _python_any_hit(states, rates, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +157,8 @@ def zero_hit(
     """Per plan: can it provably not inject anything the reference didn't?
 
     A plan with permanent records always changes the run, so it is never
-    zero-hit.  All other plans' streams are replayed in *one* vectorized
-    predraw call — per-plan calls would pay numpy's per-op overhead on
-    tiny arrays.
+    zero-hit.  All other plans' streams are replayed by
+    :func:`predraw_any_hit`.
     """
     states: List[int] = []
     rates: List[float] = []

@@ -60,7 +60,6 @@ class _EngineHarness:
                 engine=engine,
                 workers=1,  # serial in-process: measure serving, not spawning
                 queue_depth=1024,  # never shed during the bench
-                batch_window_s=0.002,
             )
         )
         self.server: SegbusHTTPServer = create_server(self.service)

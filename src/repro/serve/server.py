@@ -11,7 +11,8 @@ the socket backlog, is the concurrency limiter.  Endpoints:
     travel in ``X-Segbus-Cache`` / ``X-Segbus-Elapsed-Ms`` headers so a
     hit's body stays byte-identical to the miss that populated it.
     Batches always answer 200 with ``{"responses": [...]}``, each entry
-    carrying its own ``status``/``cache``/``body``.
+    carrying its own ``status``/``cache``/``body``; every job is answered
+    and counted exactly as a single request would be.
 
 ``GET /v1/health``
     Liveness: ``{"ok": true, "engine_default": ...}``.
@@ -174,29 +175,14 @@ class _Handler(BaseHTTPRequestHandler):
                     },
                 )
                 return
-            # admit everything first so compatible jobs can coalesce into
-            # one dispatcher micro-batch, then wait for all of them
-            tickets = [self.service.submit_async(job) for job in jobs]
-            responses = []
-            for ticket in tickets:
-                ticket.event.wait(self.service.config.request_timeout_s)
-                if ticket.body is not None:
-                    responses.append(
-                        {
-                            "status": 200,
-                            "cache": ticket.role,
-                            "body": json.loads(ticket.body.decode("utf-8")),
-                        }
-                    )
-                else:
-                    body = ticket.failure_body or b'{"error":{}}'
-                    responses.append(
-                        {
-                            "status": ticket.failure_status or 504,
-                            "cache": ticket.role,
-                            "body": json.loads(body.decode("utf-8")),
-                        }
-                    )
+            responses = [
+                {
+                    "status": response.status,
+                    "cache": response.cache,
+                    "body": json.loads(response.body.decode("utf-8")),
+                }
+                for response in self.service.submit_batch(jobs)
+            ]
             self._send_json(200, {"responses": responses})
             return
         response = self.service.submit(payload)

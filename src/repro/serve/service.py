@@ -17,12 +17,20 @@ One request's life:
 4. Otherwise the job deep-validates against the XML loaders (400), and
    enters the bounded admission queue; when the queue is full the
    request is shed with a deterministic 429 + Retry-After.
-5. The dispatcher thread drains a micro-batch (``batch_window_s`` /
-   ``batch_max``) and runs it through the persistent
-   :class:`CampaignExecutor` pool with per-job timeouts and retries.
+5. The dispatcher thread takes the whole admission queue as one
+   micro-batch and runs it through :class:`CampaignExecutor` with
+   per-job timeouts and retries.  Each ``run()`` spawns and joins its
+   own worker processes, so with a pool (``workers >= 2``) the
+   dispatcher first waits :data:`POOL_BATCH_WINDOW_S` for companions to
+   share that cost; one in-process worker has nothing to gather and
+   never waits.
 6. Fulfilment caches the canonical response bytes and wakes every
    waiter.  Exhausted jobs produce a structured 500 carrying the
-   :class:`JobFailure` ledger; failures are never cached.
+   :class:`JobFailure` ledger; failures are never cached.  The waiting
+   request then builds its :class:`ServeResponse` (or a 504 past
+   :data:`REQUEST_TIMEOUT_S`) and is counted; each job of a client
+   batch (:meth:`SegbusService.submit_batch`) goes through the same
+   code.
 
 Nondeterministic facts (latency, cache disposition) live in the
 :class:`ServeResponse` envelope and become HTTP headers — never body
@@ -55,9 +63,22 @@ from repro.serve.jobs import (
 )
 
 
+#: how long a request thread waits for its result before 504
+REQUEST_TIMEOUT_S = 300.0
+#: the Retry-After a shed request advertises
+RETRY_AFTER_S = 1.0
+#: how long the dispatcher waits for companions when a worker pool
+#: serves the queue (step 5 above; measured in docs/SERVING.md)
+POOL_BATCH_WINDOW_S = 0.005
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Every serving knob in one picklable place (CLI flags mirror these)."""
+    """The serving settings a deployment picks (CLI flags mirror these).
+
+    The request deadline, the ``Retry-After`` of a shed request and the
+    pool's dispatch wait are module constants, not settings.
+    """
 
     #: default engine for jobs that do not name one (None = SEGBUS_ENGINE)
     engine: Optional[str] = None
@@ -65,21 +86,14 @@ class ServiceConfig:
     workers: int = 1
     #: per-job timeout (needs workers >= 2 to be enforceable)
     timeout_s: Optional[float] = None
-    #: executor attempts per job (retries = attempts - 1)
-    retries: int = 3
+    #: executor attempts per job, the first included (``--retries N``
+    #: gives N + 1)
+    max_attempts: int = 3
     #: bounded admission queue depth; beyond it requests shed with 429
     queue_depth: int = 64
     #: result-cache caps
     cache_entries: int = 1024
     cache_bytes: int = 64 << 20
-    #: micro-batch window: how long the dispatcher lingers for companions
-    batch_window_s: float = 0.005
-    #: micro-batch size cap
-    batch_max: int = 32
-    #: how long a request thread waits for its result before 504
-    request_timeout_s: float = 300.0
-    #: the Retry-After a shed request advertises
-    retry_after_s: float = 1.0
 
 
 @dataclass
@@ -179,9 +193,10 @@ class SegbusService:
             max_entries=config.cache_entries, max_bytes=config.cache_bytes
         )
         policy = ExecutorPolicy(
-            max_attempts=max(1, config.retries),
+            max_attempts=config.max_attempts,
             timeout_s=config.timeout_s,
         )
+        pooled = (config.workers or 1) > 1
         # serial_threshold=1: even a lone queued job must take the
         # parallel path when workers >= 2, or per-job timeouts (and the
         # chaos hooks the backpressure suite relies on) would silently
@@ -190,9 +205,10 @@ class SegbusService:
             execute_job,
             policy=policy,
             workers=config.workers,
-            serial_threshold=1 if (config.workers or 1) > 1 else 3,
+            serial_threshold=1 if pooled else 3,
             chaos=chaos,
         )
+        self._window_s = POOL_BATCH_WINDOW_S if pooled else 0.0
         self._lock = threading.Lock()
         self._queue: Deque[_Ticket] = deque()
         self._inflight: Dict[str, _Ticket] = {}
@@ -309,17 +325,13 @@ class SegbusService:
     def _shed(self, ticket: _Ticket) -> _Ticket:
         """Resolve a ticket as shed: deterministic 429 + Retry-After."""
         ticket.role = "shed"
-        ticket.retry_after_s = self.config.retry_after_s
+        ticket.retry_after_s = RETRY_AFTER_S
         ticket.resolve_error(
             429,
             _error_bytes(
                 "busy",
-                str(
-                    AdmissionError(
-                        self.config.queue_depth, self.config.retry_after_s
-                    )
-                ),
-                retry_after_s=self.config.retry_after_s,
+                str(AdmissionError(self.config.queue_depth, RETRY_AFTER_S)),
+                retry_after_s=RETRY_AFTER_S,
             ),
         )
         return ticket
@@ -329,12 +341,28 @@ class SegbusService:
     ) -> ServeResponse:
         """Admit and wait: the blocking request path the HTTP layer uses."""
         started = time.perf_counter()
-        ticket = self.submit_async(payload)
-        budget = (
-            timeout_s
-            if timeout_s is not None
-            else self.config.request_timeout_s
-        )
+        return self._respond(self.submit_async(payload), started, timeout_s)
+
+    def submit_batch(self, payloads: List[object]) -> List[ServeResponse]:
+        """A client batch: admit every job, then answer each like :meth:`submit`.
+
+        Admitting all of them before waiting lets same-key jobs coalesce
+        and, with a worker pool, lets the dispatcher's wait gather them
+        into one micro-batch.  Each job is counted and sampled on its
+        own; its latency runs from the batch's arrival.
+        """
+        started = time.perf_counter()
+        tickets = [self.submit_async(payload) for payload in payloads]
+        return [self._respond(ticket, started) for ticket in tickets]
+
+    def _respond(
+        self,
+        ticket: _Ticket,
+        started: float,
+        timeout_s: Optional[float] = None,
+    ) -> ServeResponse:
+        """Wait for one ticket, then build, count and sample its response."""
+        budget = REQUEST_TIMEOUT_S if timeout_s is None else timeout_s
         finished = ticket.event.wait(budget)
         elapsed = time.perf_counter() - started
         if not finished:
@@ -382,16 +410,12 @@ class SegbusService:
                 if not self._queue:
                     self._wake.clear()
                     continue
-            # linger for companions: the window gathers concurrent
-            # requests into one micro-batch for the worker pool
-            if self.config.batch_window_s > 0:
-                time.sleep(self.config.batch_window_s)
+            if self._window_s:
+                time.sleep(self._window_s)
             with self._lock:
-                batch: List[_Ticket] = []
-                while self._queue and len(batch) < self.config.batch_max:
-                    batch.append(self._queue.popleft())
-                if not self._queue:
-                    self._wake.clear()
+                batch = list(self._queue)
+                self._queue.clear()
+                self._wake.clear()
             if batch:
                 self._execute_batch(batch)
 
@@ -489,7 +513,6 @@ class SegbusService:
             "config": {
                 "workers": self.config.workers,
                 "queue_depth": self.config.queue_depth,
-                "batch_max": self.config.batch_max,
-                "batch_window_s": self.config.batch_window_s,
+                "batch_window_s": self._window_s,
             },
         }

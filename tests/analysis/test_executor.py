@@ -62,14 +62,6 @@ class TestHappyPath:
         assert "parallel path with 2 worker(s)" in text
         assert "chunksize" in text
 
-    def test_explicit_chunksize_respected(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="repro.analysis.executor"):
-            batch = execute_batch(
-                probe_jobs(8), run_probe, chunksize=3, **PARALLEL
-            )
-        assert batch.ok
-        assert "chunksize 3" in caplog.text
-
 
 class TestFailurePaths:
     def test_retry_exhaustion_lands_in_ledger(self):

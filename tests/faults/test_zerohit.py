@@ -3,8 +3,8 @@
 A reliability sweep skips simulating every point whose fault streams
 provably never fire and takes the counting reference's measurement
 instead.  These tests pin the machinery that proof leans on (the
-vectorized predraw against the sequential reference, the counting
-injector's opportunity census), the exact counts on the bench's
+predraw against the fault streams it replays, the counting injector's
+opportunity census), the exact counts on the bench's
 ``faults_sweep`` grid, and the claim itself: every point classified
 zero-hit reports exactly what simulating it reports.
 """
@@ -19,10 +19,10 @@ from repro.emulator.kernel import PlatformSpec, Simulation
 from repro.emulator.report import build_report
 from repro.faults import FaultPlan, FaultRecord, RetryPolicy
 from repro.faults.model import KIND_PERMANENT
+from repro.faults.prng import DeterministicStream, stream_state
 from repro.faults.zerohit import (
     CountingPlan,
-    _python_any_hit,
-    _vector_any_hit,
+    predraw_any_hit,
     record_draws,
     zero_hit,
 )
@@ -69,14 +69,24 @@ def _digest(plan, engine="stepped", spec=None):
 
 
 class TestPredrawMachinery:
-    def test_vectorized_predraw_matches_sequential_reference(self):
+    def test_predraw_matches_stream_draws(self):
+        # the replay must make exactly the decisions the injector's
+        # streams make, given the same states, rates and draw counts
         rng = random.Random(99)
-        states = [rng.getrandbits(64) | 1 for _ in range(40)]
-        rates = [rng.choice([1e-4, 1e-3, 0.02, 0.3]) for _ in range(40)]
-        draws = [rng.randint(0, 50) for _ in range(40)]
-        assert _vector_any_hit(states, rates, draws) == _python_any_hit(
-            states, rates, draws
-        )
+        keys = [
+            (rng.getrandbits(32), f"segment:{rng.randint(0, 3)}", str(i))
+            for i in range(40)
+        ]
+        rates = [rng.choice([1e-4, 1e-3, 0.02, 0.3]) for _ in keys]
+        draws = [rng.randint(0, 50) for _ in keys]
+        streams = [DeterministicStream(*key) for key in keys]
+        expected = [
+            any(stream.chance(rate) for _ in range(count))
+            for stream, rate, count in zip(streams, rates, draws)
+        ]
+        states = [stream_state(*key) for key in keys]
+        assert predraw_any_hit(states, rates, draws) == expected
+        assert any(expected) and not all(expected)
 
     def test_counting_reference_census_bounds_the_plan_draws(self):
         # the counting run tallies every fault-draw opportunity of the

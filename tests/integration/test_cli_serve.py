@@ -136,3 +136,33 @@ class TestServeBenchWiring:
                 <= metrics["latency_p90_ms"]
                 <= metrics["latency_p99_ms"]
             )
+
+
+class TestServeRetries:
+    """``serve --retries N`` counts retries after the first attempt, as
+    the shared executor flag does on every other subcommand."""
+
+    @pytest.mark.parametrize(
+        "argv, attempts",
+        [([], 3), (["--retries", "0"], 1), (["--retries", "2"], 3)],
+    )
+    def test_retries_give_the_executor_n_plus_one_attempts(
+        self, argv, attempts
+    ):
+        from repro.cli import _serve_config, build_parser
+        from repro.serve.service import SegbusService
+
+        args = build_parser().parse_args(["serve", *argv])
+        service = SegbusService(_serve_config(args), auto_start=False)
+        assert service.executor.policy.max_attempts == attempts
+
+    def test_negative_retries_exit_2_before_binding(
+        self, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("segbus serve bound a port")
+
+        monkeypatch.setattr("repro.serve.server.create_server", refuse)
+        assert main(["serve", "--port", "0", "--retries", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("segbus: error: max_attempts must be >= 1")

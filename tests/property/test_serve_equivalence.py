@@ -25,9 +25,7 @@ from repro.serve.service import SegbusService, ServiceConfig
 
 @pytest.fixture(scope="module")
 def equivalence_server():
-    service = SegbusService(
-        ServiceConfig(workers=1, batch_window_s=0.0, queue_depth=256)
-    )
+    service = SegbusService(ServiceConfig(workers=1, queue_depth=256))
     server = create_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

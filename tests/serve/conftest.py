@@ -36,7 +36,7 @@ def service_factory():
     built = []
 
     def make(**overrides) -> SegbusService:
-        kwargs = dict(workers=1, batch_window_s=0.0, queue_depth=64)
+        kwargs = dict(workers=1, queue_depth=64)
         auto_start = overrides.pop("auto_start", True)
         chaos = overrides.pop("chaos", None)
         kwargs.update(overrides)

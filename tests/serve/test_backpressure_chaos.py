@@ -14,6 +14,7 @@ import threading
 
 from repro.serve.jobs import cache_key, execute_job, parse_job, response_bytes
 from repro.serve.server import create_server
+from repro.serve.service import RETRY_AFTER_S
 from repro.testing.chaos import ChaosPlan
 
 
@@ -37,10 +38,10 @@ class TestBackpressure:
         assert shed.role == "shed"
         assert shed.event.is_set()  # resolved synchronously, never queued
         assert shed.failure_status == 429
-        assert shed.retry_after_s == service.config.retry_after_s
+        assert shed.retry_after_s == RETRY_AFTER_S
         error = json.loads(shed.failure_body)["error"]
         assert error["kind"] == "busy"
-        assert error["retry_after_s"] == service.config.retry_after_s
+        assert error["retry_after_s"] == RETRY_AFTER_S
         # shedding is deterministic: the same overload sheds again
         again = service.submit_async(_emulate_payload(inline_schemes_1seg))
         assert again.role == "shed" and again.failure_status == 429
@@ -108,7 +109,7 @@ class TestChaos:
     ):
         payload = _emulate_payload(inline_schemes)
         chaos = ChaosPlan(poison_labels=(_label(payload),))
-        service = service_factory(workers=2, retries=2, chaos=chaos)
+        service = service_factory(workers=2, max_attempts=2, chaos=chaos)
         response = service.submit(payload)
         assert (response.status, response.cache) == (500, "failed")
         error = json.loads(response.body)["error"]
@@ -142,7 +143,7 @@ class TestChaos:
         payload = _emulate_payload(inline_schemes)
         chaos = ChaosPlan(poison_labels=(_label(payload),))
         service = service_factory(
-            workers=2, retries=1, chaos=chaos, auto_start=False
+            workers=2, max_attempts=1, chaos=chaos, auto_start=False
         )
         owner = service.submit_async(payload)
         follower = service.submit_async(payload)

@@ -13,7 +13,7 @@ from repro.serve.server import MAX_BODY_BYTES, create_server
 
 @pytest.fixture
 def http_server(service_factory):
-    service = service_factory(batch_window_s=0.0)
+    service = service_factory()
     server = create_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -139,6 +139,43 @@ class TestJobRequests:
         assert responses[1]["cache"] in ("coalesced", "hit")
         assert responses[0]["body"] == responses[1]["body"]
         assert responses[2]["status"] == 400
+
+    def test_client_batch_jobs_count_like_single_requests(
+        self, http_server, inline_schemes
+    ):
+        payload = _emulate_payload(inline_schemes)
+        body = json.dumps({"jobs": [payload, payload, {"kind": "x"}]})
+        _, _, before = _request(http_server, "GET", "/v1/stats")
+        _request(http_server, "POST", "/v1/jobs", body=body)
+        _, _, after = _request(http_server, "GET", "/v1/stats")
+        before, after = json.loads(before), json.loads(after)
+        assert after["requests"] - before["requests"] == 3
+        roles = after["by_disposition"]
+        assert roles["miss"] == 1
+        assert roles.get("coalesced", 0) + roles.get("hit", 0) == 1
+        assert roles["rejected"] == 1
+
+    def test_undispatched_client_batch_job_answers_the_deadline(
+        self, service_factory, inline_schemes, monkeypatch
+    ):
+        # no dispatcher: the job waits out the request timeout and must
+        # answer the same 504 a single request would
+        monkeypatch.setattr("repro.serve.service.REQUEST_TIMEOUT_S", 0.05)
+        service = service_factory(auto_start=False)
+        server = create_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            body = json.dumps({"jobs": [_emulate_payload(inline_schemes)]})
+            status, _, data = _request(server, "POST", "/v1/jobs", body=body)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert status == 200
+        (response,) = json.loads(data)["responses"]
+        assert (response["status"], response["cache"]) == (504, "timeout")
+        assert response["body"]["error"]["kind"] == "deadline"
+        assert service.stats()["by_disposition"] == {"timeout": 1}
 
     def test_jobs_must_be_an_array(self, http_server):
         status, _, data = _request(

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 from repro.serve.jobs import execute_job, parse_job, response_bytes
+from repro.serve.service import SegbusService, ServiceConfig
 
 
 def _emulate_payload(schemes, **extra):
@@ -88,10 +91,10 @@ class TestCoalescing:
 
 
 class TestBatching:
-    def test_window_gathers_queued_jobs_into_one_micro_batch(
+    def test_jobs_queued_before_start_go_out_in_one_dispatch(
         self, service_factory, inline_schemes, inline_schemes_1seg
     ):
-        service = service_factory(auto_start=False, batch_window_s=0.01)
+        service = service_factory(auto_start=False)
         payloads = [
             _emulate_payload(inline_schemes, engine="stepped"),
             _emulate_payload(inline_schemes_1seg, engine="fast"),
@@ -113,7 +116,7 @@ class TestBatching:
     def test_mixed_batch_keeps_per_job_path_for_the_rest(
         self, service_factory, inline_schemes, inline_schemes_1seg
     ):
-        service = service_factory(auto_start=False, batch_window_s=0.01)
+        service = service_factory(auto_start=False)
         psdf_xml, psm_xml = inline_schemes_1seg
         payloads = [
             _emulate_payload(inline_schemes, engine="fast"),
@@ -132,6 +135,35 @@ class TestBatching:
             assert ticket.body == response_bytes(
                 execute_job(parse_job(payload))
             )
+
+    def test_single_worker_serves_a_miss_without_waiting(
+        self, inline_schemes, monkeypatch
+    ):
+        # one in-process worker has no companions to gather: the
+        # dispatcher must not sleep before running a miss
+        sleepers = []
+        real_sleep = time.sleep
+
+        def record(seconds):
+            sleepers.append(threading.current_thread().name)
+            real_sleep(seconds)
+
+        monkeypatch.setattr("repro.serve.service.time.sleep", record)
+        service = SegbusService(ServiceConfig())
+        try:
+            response = service.submit(_emulate_payload(inline_schemes))
+        finally:
+            service.stop()
+        assert (response.status, response.cache) == (200, "miss")
+        assert "segbus-serve-dispatcher" not in sleepers
+
+    def test_stats_report_the_effective_window(self, service_factory):
+        # /v1/stats keeps the config.batch_window_s key: the wait the
+        # dispatcher actually applies, which only a worker pool gets
+        alone = service_factory(auto_start=False)
+        pooled = service_factory(auto_start=False, workers=2)
+        assert alone.stats()["config"]["batch_window_s"] == 0.0
+        assert pooled.stats()["config"]["batch_window_s"] == 0.005
 
 
 class TestLifecycle:
@@ -166,7 +198,5 @@ class TestLifecycle:
         assert response.status == 200
 
     def test_stats_echo_the_config(self, service_factory):
-        service = service_factory(queue_depth=7, batch_max=5)
-        config = service.stats()["config"]
-        assert config["queue_depth"] == 7
-        assert config["batch_max"] == 5
+        service = service_factory(queue_depth=7)
+        assert service.stats()["config"]["queue_depth"] == 7
