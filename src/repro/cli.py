@@ -36,8 +36,9 @@ Subcommands mirror the design flow of Fig. 3:
     conformance harness: seeded random models through the differential
     oracle plus golden-trace drift detection (see docs/TESTING.md);
 ``segbus bench``
-    headless perf scenarios with deterministic tick counters;
-    ``--check`` gates against the committed ``BENCH_*.json`` baselines;
+    headless perf scenarios: exact tick counters plus two same-host
+    speed-ratio gates; ``--check`` gates against the committed
+    ``BENCH_*.json`` baselines;
 ``segbus serve``
     simulation-as-a-service: an HTTP front end with a digest-keyed
     result cache, job batching and bounded-queue backpressure
@@ -535,17 +536,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for item in SCENARIOS:
             print(f"{item.name:<24}  {item.description}")
         return 0
-    executor_kwargs = _executor_kwargs(args)
-    if executor_kwargs["workers"] is None:
-        # bench defaults to one worker: concurrent scenarios contend for
-        # CPU and wall-clock gates would trip on scheduling noise
-        executor_kwargs["workers"] = 1
     results = run_bench(
         names=args.scenarios or None,
         repeats=args.repeats,
-        inject_slowdown=args.inject_slowdown,
         engine=args.engine,
-        **executor_kwargs,
     )
     print(format_results(results))
     if args.update:
@@ -553,12 +547,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"\nwrote {len(paths)} baseline(s) under {args.baseline_dir}")
         return 0
     if args.check:
-        check = check_bench(
-            results,
-            baseline_dir=args.baseline_dir,
-            wall_ratio_max=args.wall_ratio_max,
-            check_wall=not args.no_wall,
-        )
+        check = check_bench(results, baseline_dir=args.baseline_dir)
         print()
         print(check.format())
         return 0 if check.ok else 1
@@ -961,35 +950,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=3,
-        help="wall-clock repetitions per scenario, best kept (default 3)",
+        help="timed rounds per engine-aware scenario, interleaved across "
+        "engines; the ratio gates take the median (default 3)",
     )
-    bch.add_argument(
+    mode = bch.add_mutually_exclusive_group()
+    mode.add_argument(
         "--check",
         action="store_true",
         help="compare against the committed baselines (exit 1 on drift)",
     )
-    bch.add_argument(
+    mode.add_argument(
         "--update",
         action="store_true",
         help="(re)write the baseline files from this run",
-    )
-    bch.add_argument(
-        "--no-wall",
-        action="store_true",
-        help="with --check: compare ticks only (heterogeneous CI runners)",
-    )
-    bch.add_argument(
-        "--wall-ratio-max",
-        type=float,
-        default=1.5,
-        help="wall-clock regression gate as a multiple of the baseline "
-        "(default 1.5)",
-    )
-    bch.add_argument(
-        "--inject-slowdown",
-        type=float,
-        default=1.0,
-        help="test hook: multiply measured wall time by this factor",
     )
     bch.add_argument(
         "--baseline-dir",
@@ -997,7 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline directory (default benchmarks/baselines)",
     )
     _add_engine_flag(bch)
-    _add_executor_flags(bch)
     bch.set_defaults(func=_cmd_bench)
 
     srv = sub.add_parser(

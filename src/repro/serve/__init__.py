@@ -6,7 +6,7 @@ loaders, dispatches them through the supervised campaign-executor pool,
 and memoizes canonical response bytes in a digest-keyed LRU cache.
 See docs/SERVING.md for the API schema, cache
 semantics and backpressure contract, and ``repro.serve.loadgen`` for
-the seeded load generator the ``serve_throughput`` bench drives.
+the seeded load generator.
 """
 
 from repro.serve.cache import CacheStats, ResultCache

@@ -144,7 +144,7 @@ class ResultCache:
             return True
 
     def clear(self) -> None:
-        """Drop every entry and reset the counters (bench rounds do this)."""
+        """Drop every entry and reset the counters."""
         with self._lock:
             self._entries.clear()
             self._bytes = 0

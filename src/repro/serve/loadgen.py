@@ -8,8 +8,8 @@ schemes plus curated workload scenarios.  ``repeat_ratio`` controls how
 often a previously issued payload is re-submitted, which is the knob
 that exercises the result cache; with the service's request coalescing,
 the *number of computed (unique) and reused responses per run is itself
-deterministic*, concurrency notwithstanding — the ``serve_throughput``
-bench pins both as tick counters.
+deterministic*, concurrency notwithstanding — ``tests/serve`` pins
+both, along with the summed completion times and report digests.
 
 Two drivers share the plan: HTTP (persistent stdlib connections against
 a running server) and in-process (straight into
@@ -126,7 +126,7 @@ def build_plan(
     ``rate_rps`` set, arrivals are open-loop Poisson offsets at that
     rate; otherwise the plan is closed-loop (drivers fire as fast as
     their concurrency allows).  ``engine`` stamps every payload so one
-    plan can be re-targeted per engine (the bench builds three).
+    plan can be re-targeted per engine.
     """
     if requests < 1:
         raise SegBusError("loadgen requests must be >= 1")
@@ -248,7 +248,7 @@ class LoadgenReport:
 
 
 def _percentile_ms(latencies: Sequence[float], q: int) -> float:
-    """Nearest-rank percentile in milliseconds (same rule as the bench)."""
+    """Nearest-rank percentile in milliseconds."""
     ordered = sorted(latencies)
     if not ordered:
         return 0.0

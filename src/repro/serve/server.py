@@ -64,7 +64,7 @@ class _Handler(BaseHTTPRequestHandler):
     # one TCP segment per response: buffered writes plus TCP_NODELAY.
     # Unbuffered head-then-body writes on a keep-alive connection trip
     # the Nagle/delayed-ACK interaction — a flat ~40 ms stall per
-    # request that would swamp every latency percentile the bench pins
+    # request that would swamp every latency percentile loadgen reports
     wbufsize = 64 * 1024
     disable_nagle_algorithm = True
 
@@ -195,6 +195,6 @@ def create_server(
     """Bind (port 0 = ephemeral) without starting the accept loop.
 
     Callers run ``serve_forever()`` on a thread of their choosing; tests
-    and the bench use a daemon thread, the CLI blocks on it.
+    use a daemon thread, the CLI blocks on it.
     """
     return SegbusHTTPServer((host, port), service)

@@ -12,8 +12,7 @@ One request's life:
 3. A concurrent request for the *same* key joins the in-flight
    computation ("coalesced") instead of queueing a duplicate — so one
    key computes at most once per cache epoch, which is also what makes
-   the bench's computed/reused tick counters deterministic under
-   concurrency.
+   loadgen's computed/reused counts deterministic under concurrency.
 4. Otherwise the job deep-validates against the XML loaders (400), and
    enters the bounded admission queue; when the queue is full the
    request is shed with a deterministic 429 + Retry-After.
@@ -167,7 +166,7 @@ def _failure_dicts(failures) -> List[Dict[str, object]]:
 
 @dataclass
 class _Counters:
-    """Per-disposition request counters (stats endpoint and the bench)."""
+    """Per-disposition request counters (the stats endpoint)."""
 
     by_role: Dict[str, int] = field(default_factory=dict)
 
@@ -254,7 +253,7 @@ class SegbusService:
             self._dispatcher = None
 
     def reset(self) -> None:
-        """Clear cache, counters and latency samples (bench rounds)."""
+        """Clear cache, counters and latency samples."""
         self.cache.clear()
         with self._lock:
             self._counters = _Counters()

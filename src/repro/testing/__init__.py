@@ -10,7 +10,8 @@ Entry points:
 * :func:`repro.testing.golden.check_goldens` — digest drift detection
   over ``examples/models/``.
 * :func:`repro.testing.bench.run_bench` / ``check_bench`` — headless
-  perf scenarios against committed ``BENCH_*.json`` baselines.
+  scenarios: exact ticks against the committed ``BENCH_*.json``
+  baselines plus two same-host speed-ratio gates.
 * :func:`repro.testing.selftest.run_selftest` — the ``segbus selftest``
   orchestration of all of the above.
 """

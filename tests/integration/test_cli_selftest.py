@@ -1,6 +1,9 @@
 """CLI wiring tests for ``segbus selftest`` and ``segbus bench``."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.cli import build_parser, main
 
@@ -84,7 +87,6 @@ class TestBenchCommand:
                 "--repeats",
                 "1",
                 "--check",
-                "--no-wall",
             ]
         )
         assert rc == 0
@@ -109,40 +111,59 @@ class TestBenchCommand:
         assert data["name"] == "mp3_3seg_analytic"
         assert data["ticks"]
 
-    def test_injected_slowdown_fails_check(self, tmp_path, capsys):
-        assert (
+    def test_unknown_scenario_is_cli_error(self, capsys):
+        rc = main(["bench", "warp_drive", "--repeats", "1"])
+        assert rc == 2
+        assert "unknown bench scenario" in capsys.readouterr().err
+
+    def test_check_with_update_is_usage_error(self, tmp_path, capsys):
+        # a drifted baseline must not be silently re-pinned by a run
+        # that also asked for the check
+        name = "mp3_3seg_analytic"
+        path = tmp_path / f"BENCH_{name}.json"
+        committed = json.loads(
+            (Path("benchmarks") / "baselines" / path.name).read_text()
+        )
+        committed["ticks"]["execution_time_ps"] += 1
+        path.write_text(json.dumps(committed))
+        drifted = path.read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "bench",
-                    "mp3_3seg_analytic",
+                    name,
                     "--repeats",
                     "1",
+                    "--check",
                     "--update",
                     "--baseline-dir",
                     str(tmp_path),
                 ]
             )
-            == 0
-        )
-        # a 20x injected slowdown against the 1.5x gate: the margin has
-        # to dwarf single-repeat wall jitter on busy single-core hosts
-        rc = main(
-            [
-                "bench",
-                "mp3_3seg_analytic",
-                "--repeats",
-                "1",
-                "--check",
-                "--inject-slowdown",
-                "20.0",
-                "--baseline-dir",
-                str(tmp_path),
-            ]
-        )
-        assert rc == 1
-        assert "perf regression" in capsys.readouterr().out
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert path.read_bytes() == drifted
 
-    def test_unknown_scenario_is_cli_error(self, capsys):
-        rc = main(["bench", "warp_drive", "--repeats", "1"])
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_below_one_is_cli_error(self, repeats, capsys):
+        rc = main(["bench", "mp3_3seg_analytic", "--repeats", repeats])
         assert rc == 2
-        assert "unknown bench scenario" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("segbus: error: bench repeats must be at least")
+
+    def test_failing_scenario_is_one_line_error(self, monkeypatch, capsys):
+        from repro.testing import bench
+
+        diverging = bench.BenchScenario(
+            "diverging",
+            "synthetic divergence probe",
+            prepare=lambda engine: (
+                lambda: {"events": 1 if engine == "stepped" else 2}
+            ),
+        )
+        monkeypatch.setattr(bench, "SCENARIOS", (diverging,))
+        rc = main(["bench", "diverging", "--repeats", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("segbus: error: diverging: tick counters")
+        assert err.count("\n") == 1

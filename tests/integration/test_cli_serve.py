@@ -13,7 +13,6 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.testing.bench import scenario
 
 
 @pytest.fixture(scope="module")
@@ -106,36 +105,6 @@ class TestServeSubprocess:
         # hang); here just confirm the process is still serving
         process, _ = serve_process
         assert process.poll() is None
-
-
-class TestServeBenchWiring:
-    def test_serve_throughput_is_registered(self):
-        item = scenario("serve_throughput")
-        assert item.prepare is not None
-        assert item.service_metrics is not None
-        assert item.cache_hit_rate_min == 0.9
-
-    def test_models_per_round_mirrors_the_harness_constant(self):
-        from repro.serve.bench import BENCH_REQUESTS
-
-        assert scenario("serve_throughput").models_per_round == BENCH_REQUESTS
-
-    def test_committed_baseline_meets_the_acceptance_bar(self):
-        from repro.testing.bench import DEFAULT_BASELINE_DIR, load_baseline
-
-        baseline = load_baseline("serve_throughput", DEFAULT_BASELINE_DIR)
-        requests = baseline.ticks["requests"]
-        reused = baseline.ticks["reused"]
-        assert requests > 0
-        assert reused / requests >= 0.9  # repeat-heavy load: >=90% reuse
-        for engine, metrics in baseline.service.items():
-            assert metrics["hit_rate"] >= 0.9
-            assert metrics["throughput_rps"] > 0
-            assert (
-                metrics["latency_p50_ms"]
-                <= metrics["latency_p90_ms"]
-                <= metrics["latency_p99_ms"]
-            )
 
 
 class TestServeRetries:

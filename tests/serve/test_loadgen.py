@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.emulator.fastkernel import ENGINE_NAMES
 from repro.errors import SegBusError
 from repro.serve.loadgen import (
     LoadPlan,
@@ -12,6 +15,7 @@ from repro.serve.loadgen import (
     run_loadgen,
     serving_corpus,
 )
+from repro.serve.server import create_server
 
 WORKLOAD_CORPUS = (
     {"kind": "emulate", "workload": "bursty"},
@@ -154,6 +158,44 @@ class TestRun:
         plan = build_plan(WORKLOAD_CORPUS, requests=2)
         with pytest.raises(SegBusError, match="concurrency"):
             run_loadgen(plan, service=service_factory(), concurrency=0)
+
+
+class TestRepeatHeavyPins:
+    """A seeded repeat-heavy plan over real sockets, on every engine.
+
+    Coalescing makes the computed/reused split exact under concurrency,
+    and the summed completion times and report digests are the same
+    constants on both engines: ENG-1 at the HTTP boundary.
+    """
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_counts_and_checksums(self, engine, service_factory):
+        server = create_server(
+            service_factory(engine=engine, queue_depth=1024)
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            corpus = serving_corpus(
+                generated=4, base_seed=9101, workloads=("bursty", "long_tail")
+            )
+            plan = build_plan(
+                corpus,
+                requests=120,
+                repeat_ratio=0.9,
+                seed=20260808,
+                engine=engine,
+            )
+            report = run_loadgen(plan, url=server.url, concurrency=4)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert report.errors == 0
+        assert report.requests == 120
+        # 6 distinct payloads: a 95 % hit rate
+        assert (report.computed, report.reused) == (6, 114)
+        assert report.exec_ps_sum == 1389389844
+        assert report.digest_checksum == 16543197458949702
 
 
 class TestPercentiles:
