@@ -1,9 +1,10 @@
 """Simulation-as-a-service: the ``segbus serve`` subsystem.
 
 The ROADMAP's production-serving item: a stdlib-HTTP front end that
-validates emulate/estimate/lint/selftest jobs against the XML scheme
-loaders, dispatches them through the supervised campaign-executor pool,
-and memoizes canonical response bytes in a digest-keyed LRU cache.
+schema-checks emulate/estimate/lint/selftest jobs, runs each through
+the supervised campaign-executor pool with one load (an input the
+library refuses answers 400), and memoizes canonical response bytes in
+a digest-keyed LRU cache.
 See docs/SERVING.md for the API schema, cache
 semantics and backpressure contract, and ``repro.serve.loadgen`` for
 the seeded load generator.
@@ -19,7 +20,6 @@ from repro.serve.jobs import (
     execute_job,
     parse_job,
     response_bytes,
-    validate_job,
 )
 from repro.serve.server import SegbusHTTPServer, create_server
 from repro.serve.service import (
@@ -44,5 +44,4 @@ __all__ = [
     "execute_job",
     "parse_job",
     "response_bytes",
-    "validate_job",
 ]

@@ -99,15 +99,6 @@ class ResultCache:
             self._hits += 1
             return value
 
-    def peek(self, key: str) -> Optional[bytes]:
-        """Like :meth:`get` but with no counter or recency side effects.
-
-        The service's post-validation re-check uses this so one request
-        never counts two lookups against the hit rate.
-        """
-        with self._lock:
-            return self._entries.get(key)
-
     def put(self, key: str, value: bytes) -> bool:
         """Store ``value``; evict LRU entries until both caps hold.
 

@@ -1,4 +1,4 @@
-"""Serve job schema: parse, validate, key, and execute one JSON job.
+"""Serve job schema: parse, key, and execute one JSON job.
 
 Everything that gives a request its *meaning* lives here, importable
 without any HTTP machinery, so the dispatcher, the load generator, the
@@ -7,16 +7,16 @@ equivalence suite and the CLI all share one code path:
 * :func:`parse_job` turns a JSON payload into a frozen :class:`ServeJob`
   of primitives (picklable — the campaign executor ships it to worker
   processes) and rejects unknown fields, bad kinds and unknown engines.
-* :func:`validate_job` runs the deep checks: the inline schemes go
-  through the real XML loaders, so a request that would crash a worker
-  is refused at admission with a 400 instead.
-* :func:`cache_key` derives the digest the result cache is keyed on.
-  The key covers every input byte (scheme texts, workload name, engine,
-  flags) *and* the versions of the rule catalogue and the estimator —
-  see :func:`cache_key` for exactly which jobs carry which version.
-* :func:`execute_job` produces the response body as a plain dict whose
-  canonical JSON encoding is byte-identical to what the library produces
-  directly — the ENG-1 equivalence contract lifted to the HTTP boundary
+* :func:`cache_key` derives the digest the result cache is keyed on,
+  once per job (:attr:`ServeJob.key`).  The key covers every input byte
+  (scheme texts, workload name, engine, flags) *and* the versions of
+  the rule catalogue and the estimator — see :func:`cache_key` for
+  exactly which jobs carry which version.
+* :func:`execute_job` loads the job once — its only deep check, worded
+  by :func:`refusal_message` when it refuses — and produces the
+  response body as a plain dict whose canonical JSON encoding is
+  byte-identical to what the library produces directly — the ENG-1
+  equivalence contract lifted to the HTTP boundary
   (tests/property/test_serve_equivalence.py).
 
 Response bodies are deterministic by construction: no timestamps, no
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Mapping, Optional
 
 from repro.analysis.executor import canonical_digest
@@ -84,10 +85,16 @@ class ServeJob:
     count: int = 0
     seed: int = 1
 
+    @cached_property
+    def key(self) -> str:
+        """:func:`cache_key`, computed once (not a field: equality and the
+        canonical form ignore it; a pickled job carries it along)."""
+        return cache_key(self)
+
     @property
     def label(self) -> str:
         """Executor/chaos label: the kind plus a stable key prefix."""
-        return f"{self.kind}:{cache_key(self)[:12]}"
+        return f"{self.kind}:{self.key[:12]}"
 
 
 def _require(condition: bool, detail: str) -> None:
@@ -101,9 +108,9 @@ def parse_job(
     """Schema-validate a JSON payload into a :class:`ServeJob`.
 
     Cheap checks only (field names, kinds, engine resolution, workload
-    names, bounds) — cache lookups must not pay XML parsing, so the deep
-    loader validation is a separate step (:func:`validate_job`) that the
-    service runs only on a cache miss.
+    names, bounds): cache lookups must not pay XML parsing.  The deep
+    check is the job's single load in :func:`execute_job`, which runs
+    only on a cache miss.
     """
     _require(isinstance(payload, Mapping), "job must be a JSON object")
     assert isinstance(payload, Mapping)
@@ -206,36 +213,6 @@ def parse_job(
         count=count if kind == "selftest" else 0,
         seed=seed if kind == "selftest" else 1,
     )
-
-
-def validate_job(job: ServeJob) -> None:
-    """Deep validation: run the inline schemes through the real loaders.
-
-    Raises :class:`JobValidationError` naming the offending scheme.  Only
-    called on a cache miss — a key that ever produced a cached response
-    has necessarily validated before.
-    """
-    if job.psdf_xml is not None:
-        from repro.xmlio.psdf_parser import parse_psdf_xml
-
-        try:
-            parse_psdf_xml(job.psdf_xml)
-        except SegBusError as exc:
-            raise JobValidationError(f"psdf_xml: {exc}") from exc
-    if job.psm_xml is not None:
-        from repro.xmlio.psm_parser import parse_psm_xml
-
-        try:
-            parse_psm_xml(job.psm_xml)
-        except SegBusError as exc:
-            raise JobValidationError(f"psm_xml: {exc}") from exc
-    if job.fault_plan_xml is not None:
-        from repro.xmlio.faults_xml import parse_fault_plan_xml
-
-        try:
-            parse_fault_plan_xml(job.fault_plan_xml)
-        except SegBusError as exc:
-            raise JobValidationError(f"fault_plan_xml: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -351,33 +328,9 @@ def _multimode_estimate_dict(
 
 
 def _execute_emulate(job: ServeJob) -> Dict[str, object]:
-    application, platform, is_multimode = _load_models(job)
-    if is_multimode:
-        from repro.emulator.multimode import run_multimode
-        from repro.errors import LintError
+    from repro.emulator.emulator import SegBusEmulator
 
-        if job.strict:
-            from repro.lint import lint_multimode
-
-            report = lint_multimode(application, platform=platform)
-            if report.errors:
-                raise LintError(
-                    [f.format() for f in report.errors], report=report
-                )
-        mm = run_multimode(application, platform, engine=job.engine)
-        return {
-            "kind": "emulate",
-            "engine": job.engine,
-            "multimode": True,
-            "result": mm.to_dict(),
-            "digest": mm.digest(),
-        }
-    if job.workload is not None:
-        from repro.emulator.emulator import SegBusEmulator
-
-        emulator = SegBusEmulator.from_models(application, platform)
-    else:
-        from repro.emulator.emulator import SegBusEmulator
+    if job.workload is None:
         from repro.xmlio.faults_xml import parse_fault_plan_xml
 
         fault_plan = (
@@ -385,9 +338,33 @@ def _execute_emulate(job: ServeJob) -> Dict[str, object]:
             if job.fault_plan_xml is not None
             else None
         )
+        # the emulator parses the inline texts itself: one load per scheme
         emulator = SegBusEmulator(
             job.psdf_xml or "", job.psm_xml or "", fault_plan=fault_plan
         )
+    else:
+        application, platform, is_multimode = _load_models(job)
+        if is_multimode:
+            from repro.emulator.multimode import run_multimode
+            from repro.errors import LintError
+
+            if job.strict:
+                from repro.lint import lint_multimode
+
+                report = lint_multimode(application, platform=platform)
+                if report.errors:
+                    raise LintError(
+                        [f.format() for f in report.errors], report=report
+                    )
+            mm = run_multimode(application, platform, engine=job.engine)
+            return {
+                "kind": "emulate",
+                "engine": job.engine,
+                "multimode": True,
+                "result": mm.to_dict(),
+                "digest": mm.digest(),
+            }
+        emulator = SegBusEmulator.from_models(application, platform)
     report = emulator.run(strict=job.strict, engine=job.engine)
     return {
         "kind": "emulate",
@@ -445,7 +422,9 @@ def _execute_lint(job: ServeJob) -> Dict[str, object]:
         if job.psdf_xml is not None:
             from repro.xmlio.psdf_parser import parse_psdf_xml
 
-            application = parse_psdf_xml(job.psdf_xml).to_graph()
+            # the parsed scheme, as `segbus lint` reads it: a cyclic
+            # graph is a finding, not a refusal
+            application = parse_psdf_xml(job.psdf_xml)
         if job.psm_xml is not None:
             from repro.xmlio.psm_parser import parse_psm_xml
 
@@ -498,11 +477,12 @@ def _dict_digest(result: Mapping) -> str:
 
 
 def execute_job(job: ServeJob) -> Dict[str, object]:
-    """Run one job to its response body (the executor's picklable runner).
+    """Load and run one job to its response body.
 
-    The returned dict is the full deterministic response body; the
-    service wraps it in bytes via :func:`response_bytes` and caches those
-    bytes under :func:`cache_key`.
+    Each inline scheme is parsed once; a refused input raises its
+    :class:`~repro.errors.SegBusError`.  The returned dict is the full
+    deterministic response body; the service wraps it in bytes via
+    :func:`response_bytes` and caches those bytes under its key.
     """
     if job.kind == "emulate":
         body = _execute_emulate(job)
@@ -515,8 +495,34 @@ def execute_job(job: ServeJob) -> Dict[str, object]:
     else:  # pragma: no cover - parse_job gates kinds
         raise SegBusError(f"unknown job kind {job.kind!r}")
     body["schema"] = RESPONSE_SCHEMA_VERSION
-    body["key"] = cache_key(job)
+    body["key"] = job.key
     return body
+
+
+def refusal_message(job: ServeJob, exc: SegBusError) -> str:
+    """The 400 message for a job whose run raised ``exc``.
+
+    Names the first inline scheme its loader refuses (``"psdf_xml: …"``);
+    any other refusal, such as a cyclic graph, keeps ``exc``'s message.
+    Runs only after a failure, so a served miss parses each scheme once.
+    """
+    from repro.xmlio.faults_xml import parse_fault_plan_xml
+    from repro.xmlio.psdf_parser import parse_psdf_xml
+    from repro.xmlio.psm_parser import parse_psm_xml
+
+    for field, load in (
+        ("psdf_xml", parse_psdf_xml),
+        ("psm_xml", parse_psm_xml),
+        ("fault_plan_xml", parse_fault_plan_xml),
+    ):
+        text = getattr(job, field)
+        if text is None:
+            continue
+        try:
+            load(text)
+        except SegBusError as refused:
+            return f"{field}: {refused}"
+    return str(exc)
 
 
 def response_bytes(body: Mapping) -> bytes:

@@ -7,29 +7,32 @@ generator and the test suites all drive the same :meth:`submit` path.
 One request's life:
 
 1. ``parse_job`` schema-validates the payload (400 on failure).
-2. The cache is consulted under :func:`~repro.serve.jobs.cache_key`; a
-   hit replays the stored bytes verbatim.
+2. The cache is consulted under the job's key, computed once
+   (:attr:`~repro.serve.jobs.ServeJob.key`); a hit replays the stored
+   bytes verbatim.  Steps 2-4 run under one lock and parse no XML.
 3. A concurrent request for the *same* key joins the in-flight
    computation ("coalesced") instead of queueing a duplicate — so one
    key computes at most once per cache epoch, which is also what makes
    loadgen's computed/reused counts deterministic under concurrency.
-4. Otherwise the job deep-validates against the XML loaders (400), and
-   enters the bounded admission queue; when the queue is full the
-   request is shed with a deterministic 429 + Retry-After.
+4. Otherwise the job enters the bounded admission queue; when the
+   queue is full the request is shed with a deterministic 429 +
+   Retry-After.
 5. The dispatcher thread takes the whole admission queue as one
    micro-batch and runs it through :class:`CampaignExecutor` with
    per-job timeouts and retries.  Each ``run()`` spawns and joins its
    own worker processes, so with a pool (``workers >= 2``) the
    dispatcher first waits :data:`POOL_BATCH_WINDOW_S` for companions to
    share that cost; one in-process worker has nothing to gather and
-   never waits.
-6. Fulfilment caches the canonical response bytes and wakes every
-   waiter.  Exhausted jobs produce a structured 500 carrying the
-   :class:`JobFailure` ledger; failures are never cached.  The waiting
-   request then builds its :class:`ServeResponse` (or a 504 past
-   :data:`REQUEST_TIMEOUT_S`) and is counted; each job of a client
-   batch (:meth:`SegbusService.submit_batch`) goes through the same
-   code.
+   never waits.  The runner (:func:`_run_job`) loads each job once, its
+   only deep check: a refused input answers 400 after one attempt, so
+   retries see only crashes, timeouts and non-library exceptions.
+6. Fulfilment caches a 200's canonical response bytes and wakes every
+   waiter; a 400 answers them all ``rejected``.  Exhausted jobs produce
+   a structured 500 carrying the :class:`JobFailure` ledger; neither is
+   cached.  The waiting request then builds its :class:`ServeResponse`
+   (or a 504 past :data:`REQUEST_TIMEOUT_S`) and is counted; each job
+   of a client batch (:meth:`SegbusService.submit_batch`) goes through
+   the same code.
 
 Nondeterministic facts (latency, cache disposition) live in the
 :class:`ServeResponse` envelope and become HTTP headers — never body
@@ -43,22 +46,21 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.executor import (
     CampaignExecutor,
     ExecutorPolicy,
     JobFailure,
 )
-from repro.errors import AdmissionError, JobValidationError
+from repro.errors import AdmissionError, JobValidationError, SegBusError
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     ServeJob,
-    cache_key,
     execute_job,
     parse_job,
+    refusal_message,
     response_bytes,
-    validate_job,
 )
 
 
@@ -151,17 +153,33 @@ def _error_bytes(
     ).encode("utf-8")
 
 
-def _failure_dicts(failures) -> List[Dict[str, object]]:
-    return [
-        {
-            "label": f.label,
-            "attempts": f.attempts,
-            "kind": f.kind,
-            "error": f.error,
-            "message": f.message,
-        }
-        for f in failures
-    ]
+def _job_failed_bytes(failure: Optional[JobFailure]) -> bytes:
+    """The 500 body of an exhausted job: its :class:`JobFailure` ledger."""
+    if failure is None:
+        return _error_bytes(
+            "job-failed", "job failed without a ledger", failures=[]
+        )
+    entry: Dict[str, object] = {
+        "label": failure.label,
+        "attempts": failure.attempts,
+        "kind": failure.kind,
+        "error": failure.error,
+        "message": failure.message,
+    }
+    return _error_bytes("job-failed", failure.message, failures=[entry])
+
+
+def _run_job(job: ServeJob) -> Tuple[int, bytes]:
+    """The executor's runner: one job to its status and body bytes.
+
+    A :class:`SegBusError` is deterministic — another attempt would
+    raise it again — so it becomes the job's 400 here instead of
+    reaching the retry loop.  A pool worker ships the encoded bytes.
+    """
+    try:
+        return 200, response_bytes(execute_job(job))
+    except SegBusError as exc:
+        return 400, _error_bytes("invalid", refusal_message(job, exc))
 
 
 @dataclass
@@ -201,7 +219,7 @@ class SegbusService:
         # chaos hooks the backpressure suite relies on) would silently
         # not apply to small micro-batches
         self.executor = CampaignExecutor(
-            execute_job,
+            _run_job,
             policy=policy,
             workers=config.workers,
             serial_threshold=1 if pooled else 3,
@@ -266,8 +284,8 @@ class SegbusService:
     def submit_async(self, payload: object) -> _Ticket:
         """Admit a payload; the returned ticket resolves to its response.
 
-        Never raises: schema/validation failures, cache hits and shed
-        requests come back as already-resolved tickets.
+        Never raises: schema failures, cache hits and shed requests come
+        back as already-resolved tickets.
         """
         try:
             job = parse_job(payload, default_engine=self.config.engine)
@@ -278,33 +296,10 @@ class SegbusService:
                 400, _error_bytes("invalid", exc.detail)
             )
             return ticket
-        key = cache_key(job)
+        key = job.key
         ticket = _Ticket(key, job)
         with self._lock:
             cached = self.cache.get(key)
-            if cached is not None:
-                ticket.role = "hit"
-                ticket.resolve_ok(cached)
-                return ticket
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                ticket.role = "coalesced"
-                inflight.followers.append(ticket)
-                return ticket
-            if len(self._queue) >= self.config.queue_depth:
-                return self._shed(ticket)
-        # deep validation only on the path that will actually compute —
-        # a key that ever produced a cached body has validated before
-        try:
-            validate_job(job)
-        except JobValidationError as exc:
-            ticket.role = "rejected"
-            ticket.resolve_error(400, _error_bytes("invalid", exc.detail))
-            return ticket
-        with self._lock:
-            # re-check under the lock: another thread may have admitted
-            # or even fulfilled this key while we were validating
-            cached = self.cache.peek(key)
             if cached is not None:
                 ticket.role = "hit"
                 ticket.resolve_ok(cached)
@@ -440,40 +435,28 @@ class SegbusService:
                     self._executor_stats.get(key, 0) + value
                 )
         failures_by_label = {f.label: f for f in result.failures}
-        for ticket, body in zip(batch, result.results):
-            if body is not None:
-                self._fulfil_ok(ticket, response_bytes(body))
-            else:
+        for ticket, outcome in zip(batch, result.results):
+            if outcome is None:
                 failure = failures_by_label.get(self._job_of(ticket).label)
-                self._fulfil_failure(ticket, [failure] if failure else [])
+                outcome = (500, _job_failed_bytes(failure))
+            self._fulfil(ticket, *outcome)
 
-    def _fulfil_ok(self, ticket: _Ticket, body: bytes) -> None:
+    def _fulfil(self, ticket: _Ticket, status: int, body: bytes) -> None:
+        """Answer the owner and its coalesced followers with one outcome."""
         with self._lock:
-            self.cache.put(ticket.key, body)
-            self._inflight.pop(ticket.key, None)
-            followers = list(getattr(ticket, "followers", ()))
-        ticket.resolve_ok(body)
-        for follower in followers:
-            follower.resolve_ok(body)
-
-    def _fulfil_failure(
-        self, ticket: _Ticket, failures: List[Optional[JobFailure]]
-    ) -> None:
-        ledger = _failure_dicts([f for f in failures if f is not None])
-        message = (
-            ledger[0]["message"] if ledger else "job failed without a ledger"
-        )
-        body = _error_bytes(
-            "job-failed", str(message), failures=ledger
-        )
-        with self._lock:
-            # failures are never cached: a transient crash must not be
+            # only a 200 is cached: a transient crash must not be
             # replayed to every future request for the same model
+            if status == 200:
+                self.cache.put(ticket.key, body)
             self._inflight.pop(ticket.key, None)
-            followers = list(getattr(ticket, "followers", ()))
-        ticket.resolve_error(500, body)
-        for follower in followers:
-            follower.resolve_error(500, body)
+            waiters = [ticket, *ticket.followers]
+        for waiter in waiters:
+            if status == 200:
+                waiter.resolve_ok(body)
+            else:
+                if status == 400:
+                    waiter.role = "rejected"
+                waiter.resolve_error(status, body)
 
     # -- introspection ------------------------------------------------------
 

@@ -120,7 +120,7 @@ class TestChaos:
         assert ledger[0]["attempts"] == 2  # retries exhausted
         assert ledger[0]["error"] == "ChaosPoisonError"
         # failures are never cached ...
-        assert service.cache.peek(cache_key(parse_job(payload))) is None
+        assert cache_key(parse_job(payload)) not in service.cache
         assert service.stats()["cache"]["entries"] == 0
         # ... and the queue drains: the next request is served normally
         healthy = service.submit(_emulate_payload(inline_schemes_1seg))

@@ -78,16 +78,15 @@ class TestCounters:
         assert (stats.hits, stats.misses) == (1, 1)
         assert stats.hit_rate == 0.5
 
-    def test_peek_and_contains_have_no_side_effects(self):
+    def test_contains_has_no_side_effects(self):
         cache = ResultCache(max_entries=2)
         cache.put("a", b"1")
         cache.put("b", b"2")
-        assert cache.peek("a") == b"1"
         assert "a" in cache
-        assert cache.peek("nope") is None
+        assert "nope" not in cache
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 0
-        # peek must not refresh recency either: a is still the LRU entry
+        # a probe must not refresh recency either: a is still the LRU entry
         cache.put("c", b"3")
         assert "a" not in cache
 

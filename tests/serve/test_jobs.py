@@ -1,8 +1,9 @@
-"""Job schema, deep validation, cache-key sensitivity and execution."""
+"""Job schema, cache-key sensitivity and execution."""
 
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro.serve.jobs import (
     execute_job,
     parse_job,
     response_bytes,
-    validate_job,
 )
 
 
@@ -116,45 +116,6 @@ class TestParseJob:
         assert job.engine == "stepped"
 
 
-class TestValidateJob:
-    def test_inline_schemes_validate_clean(self, inline_schemes):
-        psdf_xml, psm_xml = inline_schemes
-        validate_job(
-            parse_job(
-                {"kind": "emulate", "psdf_xml": psdf_xml, "psm_xml": psm_xml}
-            )
-        )
-
-    def test_broken_psdf_names_the_scheme(self, inline_schemes):
-        _, psm_xml = inline_schemes
-        job = parse_job(
-            {"kind": "emulate", "psdf_xml": "<nope/>", "psm_xml": psm_xml}
-        )
-        with pytest.raises(JobValidationError, match="psdf_xml"):
-            validate_job(job)
-
-    def test_broken_psm_names_the_scheme(self, inline_schemes):
-        psdf_xml, _ = inline_schemes
-        job = parse_job(
-            {"kind": "emulate", "psdf_xml": psdf_xml, "psm_xml": "<nope/>"}
-        )
-        with pytest.raises(JobValidationError, match="psm_xml"):
-            validate_job(job)
-
-    def test_broken_fault_plan_names_the_scheme(self, inline_schemes):
-        psdf_xml, psm_xml = inline_schemes
-        job = parse_job(
-            {
-                "kind": "emulate",
-                "psdf_xml": psdf_xml,
-                "psm_xml": psm_xml,
-                "fault_plan_xml": "<nope/>",
-            }
-        )
-        with pytest.raises(JobValidationError, match="fault_plan_xml"):
-            validate_job(job)
-
-
 class TestCacheKey:
     def test_single_field_mutations_give_distinct_keys(self, inline_schemes):
         psdf_xml, psm_xml = inline_schemes
@@ -188,6 +149,22 @@ class TestCacheKey:
     def test_label_carries_kind_and_key_prefix(self):
         job = parse_job({"kind": "emulate", "workload": "bursty"})
         assert job.label == f"emulate:{cache_key(job)[:12]}"
+
+    def test_key_is_derived_not_a_field(self):
+        # the key is computed once per job object, yet leaves equality,
+        # the canonical form and construction alone; a pickled job
+        # carries it to a pool worker
+        from dataclasses import fields
+
+        from repro.analysis.executor import canonical_digest
+
+        payload = {"kind": "lint", "workload": "bursty"}
+        job, fresh = parse_job(payload), parse_job(payload)
+        digest = canonical_digest(job)
+        assert job.key == cache_key(job)
+        assert "key" not in {f.name for f in fields(job)}
+        assert job == fresh and canonical_digest(job) == digest
+        assert pickle.loads(pickle.dumps(job)).__dict__["key"] == job.key
 
 
 class TestExecuteJob:
