@@ -59,7 +59,6 @@ from repro.analysis.executor import (
     JobError,
     JobFailure,
     canonical_digest,
-    execute_batch,
 )
 from repro.analysis.visualize import activity_to_csv, psdf_to_dot, timeline_to_gantt
 
@@ -114,7 +113,6 @@ __all__ = [
     "JobError",
     "JobFailure",
     "canonical_digest",
-    "execute_batch",
     "activity_to_csv",
     "psdf_to_dot",
     "timeline_to_gantt",

@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.analysis.executor import (
-    CampaignExecutor,
-    ExecutorPolicy,
-    canonical_digest,
-)
+from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.analysis.power import PowerCoefficients, estimate_power
 from repro.emulator.config import EmulationConfig
 from repro.emulator.emulator import SegBusEmulator
@@ -93,18 +89,6 @@ class _VariantTask:
     @property
     def label(self) -> str:
         return self.variant.name
-
-    def digest(self) -> str:
-        v = self.variant
-        return canonical_digest(
-            v.name,
-            v.application,
-            v.platform,
-            v.config,
-            v.fault_plan,
-            v.retry_policy,
-            self.coefficients,
-        )
 
 
 def _run_variant(task: _VariantTask) -> VariantResult:

@@ -13,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.executor import (
-    CampaignExecutor,
-    ExecutorPolicy,
-    canonical_digest,
-)
+from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.emulator.config import EmulationConfig
 from repro.emulator.emulator import emulate
 from repro.emulator.report import EmulationReport
@@ -60,11 +56,6 @@ class _CandidateJob:
     application: PSDFGraph
     platform: SegBusPlatform
     config: Optional[EmulationConfig] = field(default=None)
-
-    def digest(self) -> str:
-        return canonical_digest(
-            self.label, self.application, self.platform, self.config
-        )
 
 
 def _run_candidate(job: _CandidateJob) -> EmulationReport:

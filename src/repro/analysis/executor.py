@@ -10,10 +10,8 @@ campaign restart from zero.  Every campaign instead runs on this
   can corrupt only its own channel, never the shared result stream;
 * every job gets a per-job **timeout** (measured from the worker's last
   progress) and a bounded number of **retries** with exponential backoff
-  plus deterministic seeded jitter — the delay schedule reuses
-  :class:`repro.faults.policy.RetryPolicy` and
-  :class:`repro.faults.prng.DeterministicStream`, so a rerun of the same
-  campaign waits the same milliseconds;
+  plus jitter drawn from a :class:`repro.faults.prng.DeterministicStream`,
+  so a rerun of the same campaign waits the same milliseconds;
 * a worker that dies (chaos kill, OOM, segfault) is detected, its
   in-flight jobs are requeued, and a replacement process is spawned —
   the supervised equivalent of ``BrokenProcessPool`` recovery, except
@@ -22,12 +20,13 @@ campaign restart from zero.  Every campaign instead runs on this
   :class:`BatchResult` carrying the completed results *plus* a
   structured ledger of :class:`JobFailure` entries, instead of an
   all-or-nothing exception;
-* completed results are journaled to a crash-safe, digest-keyed
-  append-only JSONL checkpoint (``.segbus/checkpoints/`` by default,
-  one fsync per record, atomic rename on finalize), so an interrupted
-  campaign resumes by replaying the journal and re-running only the
-  missing jobs — byte-identical final reports, proven by the chaos
-  suite (``tests/testing/test_chaos.py``).
+* completed results are journaled to a crash-safe append-only JSONL
+  checkpoint keyed by each job's :func:`canonical_digest`
+  (``.segbus/checkpoints/`` by default, one fsync per record, atomic
+  rename on finalize), so an interrupted campaign resumes by replaying
+  the journal and re-running only the missing jobs — byte-identical
+  final reports, proven by the chaos suite
+  (``tests/testing/test_chaos.py``).
 
 The chaos harness (:mod:`repro.testing.chaos`) plugs in through the
 ``SEGBUS_CHAOS`` environment variable or the ``chaos=`` parameter and
@@ -65,7 +64,6 @@ from typing import (
 )
 
 from repro.errors import SegBusError
-from repro.faults.policy import RetryPolicy
 from repro.faults.prng import DeterministicStream
 
 logger = logging.getLogger("repro.analysis.executor")
@@ -79,6 +77,13 @@ _POLL_S = 0.05
 _JOIN_S = 5.0
 #: traceback lines a worker ships back with a failed attempt
 _TRACEBACK_TAIL_LINES = 6
+#: with ``workers`` unset, a batch of fewer pending jobs runs in-process
+_SERIAL_BELOW = 3
+#: retry backoff: the delay doubles from the base per failure up to the
+#: cap, then stretches by up to ``_JITTER`` x a seeded uniform draw
+_BACKOFF_BASE_S = 0.05
+_BACKOFF_MAX_S = 2.0
+_JITTER = 0.25
 
 
 class ExecutorError(SegBusError):
@@ -104,7 +109,7 @@ class ExecutorInterrupted(ExecutorError):
 
 @dataclass(frozen=True)
 class ExecutorPolicy:
-    """Retry/timeout/backoff discipline for one campaign.
+    """Retry/timeout discipline for one campaign.
 
     ``max_attempts``
         total tries per job (first attempt included); crashes and
@@ -116,23 +121,10 @@ class ExecutorPolicy:
         (a stalled process cannot be cancelled politely) and counts as
         a failed attempt.  Not enforceable on the in-process serial
         path.
-    ``backoff`` / ``backoff_base_s`` / ``backoff_max_s`` / ``jitter``
-        delay before retry ``n``: the tick schedule of
-        :meth:`repro.faults.policy.RetryPolicy.delay_ticks` scaled by
-        ``backoff_base_s`` and capped at ``backoff_max_s``, stretched
-        by ``jitter`` × a deterministic uniform draw keyed on
-        ``(seed, label, attempt)`` — reruns wait identically.
-    ``seed``
-        keys the jitter stream (and nothing else).
     """
 
     max_attempts: int = 3
     timeout_s: Optional[float] = None
-    backoff: str = "exponential"
-    backoff_base_s: float = 0.05
-    backoff_max_s: float = 2.0
-    jitter: float = 0.25
-    seed: int = 1
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -141,33 +133,20 @@ class ExecutorPolicy:
             )
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ExecutorError("timeout_s must be positive (or None)")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ExecutorError("backoff delays must be non-negative")
-        if self.jitter < 0:
-            raise ExecutorError("jitter must be non-negative")
-        # delegate backoff-mode validation (and the delay math) to the
-        # fault subsystem's policy — one backoff discipline repo-wide
-        self._tick_policy()
-
-    def _tick_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_attempts=self.max_attempts,
-            backoff=self.backoff,
-            base_delay_ticks=1,
-            max_delay_ticks=1 << 20,
-            on_exhaustion="degrade",
-        )
 
     def delay_s(self, label: str, failures: int) -> float:
-        """Backoff delay before the retry after the ``failures``-th failure."""
-        ticks = self._tick_policy().delay_ticks(failures)
-        base = min(ticks * self.backoff_base_s, self.backoff_max_s)
-        if base <= 0:
-            return 0.0
+        """Backoff delay before the retry after the ``failures``-th failure.
+
+        The jitter draw is keyed on ``(label, failures)``, so reruns
+        wait identically; the exponent cap only keeps the float finite.
+        """
+        base = min(
+            _BACKOFF_BASE_S * 2 ** min(failures - 1, 20), _BACKOFF_MAX_S
+        )
         draw = DeterministicStream(
-            self.seed, "executor-backoff", label, str(failures)
+            1, "executor-backoff", label, str(failures)
         ).next_float()
-        return base * (1.0 + self.jitter * draw)
+        return base * (1.0 + _JITTER * draw)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +328,6 @@ def canonical_digest(*values: object) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def job_digest(job: object) -> str:
-    """Checkpoint key: the job's own digest, or its canonical form."""
-    method = getattr(job, "digest", None)
-    if callable(method):
-        return str(method())
-    return canonical_digest(job)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +550,13 @@ class CampaignExecutor:
     a picklable dataclass instance) mapping one job to one picklable
     result; each worker process rebuilds its own state.  Jobs should
     expose a ``label`` attribute for diagnostics and, for checkpointing,
-    be canonically digestible (see :func:`canonical_digest`).
+    be canonically digestible: the journal keys a job by
+    :func:`canonical_digest` over every one of its fields.
 
     Parameters mirror the CLI flags: ``policy`` (timeout/retries),
-    ``workers``/``serial_threshold`` (scheduling),
+    ``workers`` (1 runs the batch in-process and ``>= 2`` runs every
+    job in a supervised worker; unset runs fewer than three pending
+    jobs in-process and larger batches on one worker per CPU),
     ``checkpoint_dir``/``checkpoint_name``/``resume`` (journal), and
     ``chaos`` (a :class:`repro.testing.chaos.ChaosPlan`; defaults to the
     ``SEGBUS_CHAOS`` environment spec, which is how the chaos suite
@@ -595,17 +569,17 @@ class CampaignExecutor:
         *,
         policy: Optional[ExecutorPolicy] = None,
         workers: Optional[int] = None,
-        serial_threshold: int = 3,
         checkpoint_dir=None,
         checkpoint_name: Optional[str] = None,
         resume: bool = False,
         on_result: Optional[Callable[[str, object], None]] = None,
         chaos=None,
     ) -> None:
+        if workers is not None and workers < 1:
+            raise ExecutorError(f"workers must be >= 1, got {workers}")
         self.runner = runner
         self.policy = policy or ExecutorPolicy()
         self.workers = workers
-        self.serial_threshold = serial_threshold
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_name = checkpoint_name
         self.resume = resume
@@ -646,21 +620,21 @@ class CampaignExecutor:
             getattr(job, "label", None) or f"job{i}"
             for i, job in enumerate(jobs)
         ]
-        self._digests = [job_digest(job) for job in jobs]
 
-        self._open_journal()
-        pending = self._replay(jobs)
+        pending = self._replay(len(jobs), self._open_journal(jobs))
 
         if not pending:
             return self._finish()
 
-        serial = self.workers == 1 or len(pending) < self.serial_threshold
+        serial = self.workers == 1 or (
+            self.workers is None and len(pending) < _SERIAL_BELOW
+        )
         if serial:
             logger.debug(
-                "executor: serial path (%d job(s) < threshold %d or "
-                "workers=1); per-job timeout not enforced in-process",
+                "executor: serial path (%d job(s), workers=%s); "
+                "per-job timeout not enforced in-process",
                 len(pending),
-                self.serial_threshold,
+                self.workers,
             )
         previous_handler = self._install_sigterm()
         try:
@@ -710,24 +684,32 @@ class CampaignExecutor:
 
     # -- journal --------------------------------------------------------------
 
-    def _open_journal(self) -> None:
+    def _open_journal(
+        self, jobs: Sequence[object]
+    ) -> Dict[str, Tuple[str, object]]:
+        """Key the jobs and open the journal; return what a resume replays.
+
+        Keys exist only for the journal, so without one nothing is
+        digested.
+        """
         if self.checkpoint_dir is None:
             self._journal = None
-            return
+            self._digests = []
+            return {}
+        self._digests = [canonical_digest(job) for job in jobs]
         name = self.checkpoint_name or f"batch-{canonical_digest(self._digests)[:16]}"
         self._journal = CheckpointJournal(self.checkpoint_dir, name)
-        self._replayed_entries: Dict[str, Tuple[str, object]] = (
-            self._journal.load() if self.resume else {}
-        )
+        entries = self._journal.load() if self.resume else {}
         self._journal.open(fresh=not self.resume)
+        return entries
 
-    def _replay(self, jobs: Sequence[object]) -> "deque[_Task]":
+    def _replay(
+        self, count: int, entries: Mapping[str, Tuple[str, object]]
+    ) -> "deque[_Task]":
         pending: deque[_Task] = deque()
-        entries = getattr(self, "_replayed_entries", {}) if self._journal else {}
-        for index in range(len(jobs)):
-            digest = self._digests[index]
-            if digest in entries:
-                self._results[index] = entries[digest][1]
+        for index in range(count):
+            if entries and self._digests[index] in entries:
+                self._results[index] = entries[self._digests[index]][1]
                 self._completed += 1
                 self._stats["replayed"] += 1
             else:
@@ -736,7 +718,7 @@ class CampaignExecutor:
             logger.debug(
                 "executor: replayed %d of %d job(s) from checkpoint %s",
                 self._stats["replayed"],
-                len(jobs),
+                count,
                 self._journal.name if self._journal else "?",
             )
         return pending
@@ -1109,12 +1091,3 @@ class CampaignExecutor:
                 worker.kill()
             else:
                 worker.conn.close()
-
-
-def execute_batch(
-    jobs: Sequence[object],
-    runner: Callable[[object], object],
-    **kwargs,
-) -> BatchResult:
-    """One-shot convenience wrapper around :class:`CampaignExecutor`."""
-    return CampaignExecutor(runner, **kwargs).run(jobs)

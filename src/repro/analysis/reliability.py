@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.executor import (
-    CampaignExecutor,
-    ExecutorPolicy,
-    canonical_digest,
-)
+from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.emulator.config import EmulationConfig
 from repro.emulator.emulator import SegBusEmulator
 from repro.emulator.fastkernel import make_simulation, resolve_engine
@@ -167,19 +163,6 @@ class _ReliabilityJob:
     config: Optional[EmulationConfig] = field(default=None)
     engine: Optional[str] = field(default=None)
 
-    def digest(self) -> str:
-        return canonical_digest(
-            self.application,
-            self.platform,
-            self.kind,
-            repr(self.rate),
-            self.seed,
-            self.stall_ticks,
-            self.retry_policy,
-            self.config,
-            self.engine or "",
-        )
-
 
 def _fault_plan(job: _ReliabilityJob) -> FaultPlan:
     return FaultPlan.transient(
@@ -260,10 +243,10 @@ def reliability_sweep(
     retry policy that times out fault-free), no point is cloned.
 
     The remaining points run through the supervised campaign executor
-    (:mod:`repro.analysis.executor`): ``workers`` parallelizes them (with
-    ``workers >= 2`` every simulated point runs in a worker process, so
-    a single one still gets timeouts), ``executor_policy`` sets per-job
-    timeout/retries, and
+    (:mod:`repro.analysis.executor`): ``workers`` parallelizes them (the
+    executor runs every job in a worker process whenever ``workers >=
+    2``, so a lone simulated point still gets timeouts),
+    ``executor_policy`` sets per-job timeout/retries, and
     ``checkpoint_dir``/``resume`` journal completed points so an
     interrupted sweep continues where it stopped — the aggregated curve
     is byte-identical either way (chaos-gated in the test suite).  The
@@ -275,6 +258,14 @@ def reliability_sweep(
             f"reliability sweep needs a transient fault kind, got {kind!r} "
             f"(expected one of {sorted(TRANSIENT_KINDS)})"
         )
+    executor = CampaignExecutor(
+        _run_reliability_job,
+        policy=executor_policy,
+        workers=workers,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_name=checkpoint_name,
+        resume=resume,
+    )
     policy = retry_policy or RetryPolicy(on_exhaustion="degrade")
     resolved = resolve_engine(engine)
     emulator = SegBusEmulator.from_models(application, platform, config=config)
@@ -315,17 +306,6 @@ def reliability_sweep(
             [_fault_plan(job) for job in jobs], reference.faults.opportunities
         )
     simulated = [job for job, clone in zip(jobs, cloned) if not clone]
-    executor = CampaignExecutor(
-        _run_reliability_job,
-        policy=executor_policy,
-        workers=workers,
-        # with a pool, even one simulated point gets a supervised worker
-        # (timeouts, chaos), however many points were cloned
-        serial_threshold=1 if (workers or 1) > 1 else 3,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_name=checkpoint_name,
-        resume=resume,
-    )
     batch = executor.run(simulated).raise_on_failure(what="reliability job")
     outcomes = dict(zip((job.label for job in simulated), batch.results))
     if any(cloned):

@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.executor import (
-    CampaignExecutor,
-    ExecutorPolicy,
-    canonical_digest,
-)
+from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.emulator.config import EmulationConfig
 from repro.model.elements import SegBusPlatform
 from repro.model.mapping import Allocation, map_application
@@ -39,15 +35,6 @@ class _AccuracyJob:
     application: PSDFGraph
     platform: SegBusPlatform
     reference_config: Optional[EmulationConfig] = field(default=None)
-
-    def digest(self) -> str:
-        return canonical_digest(
-            self.label,
-            self.parameter,
-            self.application,
-            self.platform,
-            self.reference_config,
-        )
 
 
 def _run_accuracy_job(job: _AccuracyJob) -> AccuracyResult:

@@ -620,8 +620,9 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the batch (default: CPU count; "
-        "1 forces the in-process serial path)",
+        help="worker processes for the batch, at least 1 (default: CPU "
+        "count, in-process below 3 jobs; 1 forces the in-process serial "
+        "path, 2 or more supervise every job)",
     )
     parser.add_argument(
         "--timeout",
@@ -654,7 +655,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
 
 def _executor_kwargs(args: argparse.Namespace) -> dict:
     """Translate the executor flags into run_* keyword arguments."""
-    from repro.analysis.executor import ExecutorPolicy
+    from repro.analysis.executor import DEFAULT_CHECKPOINT_DIR, ExecutorPolicy
 
     policy = None
     if args.timeout is not None or args.retries is not None:
@@ -669,7 +670,7 @@ def _executor_kwargs(args: argparse.Namespace) -> dict:
         )
     checkpoint_dir = args.checkpoint_dir
     if args.resume and checkpoint_dir is None:
-        checkpoint_dir = str(Path(".segbus") / "checkpoints")
+        checkpoint_dir = str(DEFAULT_CHECKPOINT_DIR)
     return {
         "workers": args.workers,
         "executor_policy": policy,

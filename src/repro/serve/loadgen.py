@@ -14,8 +14,9 @@ both, along with the summed completion times and report digests.
 Two drivers share the plan: HTTP (persistent stdlib connections against
 a running server) and in-process (straight into
 :meth:`SegbusService.submit` — no sockets, used by unit tests).
-``--verify`` re-executes every distinct payload locally and requires the
-served bytes to match — the equivalence smoke CI runs.
+``--verify`` re-executes every distinct payload locally, on the engine
+the server's ``/v1/stats`` names as its default, and requires the served
+bytes to match — the equivalence smoke CI runs.
 
 Runnable as ``python -m repro.serve.loadgen`` or ``segbus loadgen``.
 """
@@ -269,7 +270,15 @@ class _HTTPWorkerClient:
         self._conn: Optional[http.client.HTTPConnection] = None
 
     def post(self, payload: Mapping[str, object]) -> Tuple[int, str, bytes]:
-        body = json.dumps(payload).encode("utf-8")
+        return self.request("POST", "/v1/jobs", payload)
+
+    def request(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[Mapping[str, object]] = None,
+    ) -> Tuple[int, str, bytes]:
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
         for attempt in (1, 2):
             if self._conn is None:
                 self._conn = http.client.HTTPConnection(
@@ -277,8 +286,8 @@ class _HTTPWorkerClient:
                 )
             try:
                 self._conn.request(
-                    "POST",
-                    "/v1/jobs",
+                    method,
+                    path,
                     body=body,
                     headers={"Content-Type": "application/json"},
                 )
@@ -425,6 +434,16 @@ def run_loadgen(
     if verify:
         from repro.serve.jobs import execute_job, parse_job, response_bytes
 
+        # re-execute with the server's default engine, not this process's
+        if service is not None:
+            stats = service.stats()
+        else:
+            client = _HTTPWorkerClient(url, request_timeout_s)
+            try:
+                stats = json.loads(client.request("GET", "/v1/stats")[2])
+            finally:
+                client.close()
+        default_engine = stats["config"]["engine"]
         for payload_id, served in sorted(first_body.items()):
             verified += 1
             payload = None
@@ -433,7 +452,9 @@ def run_loadgen(
                     payload = plan.payloads[index]
                     break
             assert payload is not None
-            expected = response_bytes(execute_job(parse_job(payload)))
+            expected = response_bytes(
+                execute_job(parse_job(payload, default_engine=default_engine))
+            )
             if expected != served:
                 divergences.append(
                     f"payload {payload_id}: served bytes differ from "

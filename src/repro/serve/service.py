@@ -53,6 +53,7 @@ from repro.analysis.executor import (
     ExecutorPolicy,
     JobFailure,
 )
+from repro.emulator.fastkernel import resolve_engine
 from repro.errors import AdmissionError, JobValidationError, SegBusError
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
@@ -206,6 +207,9 @@ class SegbusService:
         auto_start: bool = True,
     ) -> None:
         self.config = config
+        #: the engine of every job that names none, resolved once so a
+        #: bad ``SEGBUS_ENGINE`` fails here and ``/v1/stats`` can report it
+        self.engine = resolve_engine(config.engine)
         self.cache = ResultCache(
             max_entries=config.cache_entries, max_bytes=config.cache_bytes
         )
@@ -213,19 +217,10 @@ class SegbusService:
             max_attempts=config.max_attempts,
             timeout_s=config.timeout_s,
         )
-        pooled = (config.workers or 1) > 1
-        # serial_threshold=1: even a lone queued job must take the
-        # parallel path when workers >= 2, or per-job timeouts (and the
-        # chaos hooks the backpressure suite relies on) would silently
-        # not apply to small micro-batches
         self.executor = CampaignExecutor(
-            _run_job,
-            policy=policy,
-            workers=config.workers,
-            serial_threshold=1 if pooled else 3,
-            chaos=chaos,
+            _run_job, policy=policy, workers=config.workers, chaos=chaos
         )
-        self._window_s = POOL_BATCH_WINDOW_S if pooled else 0.0
+        self._window_s = POOL_BATCH_WINDOW_S if config.workers > 1 else 0.0
         self._lock = threading.Lock()
         self._queue: Deque[_Ticket] = deque()
         self._inflight: Dict[str, _Ticket] = {}
@@ -288,7 +283,7 @@ class SegbusService:
         back as already-resolved tickets.
         """
         try:
-            job = parse_job(payload, default_engine=self.config.engine)
+            job = parse_job(payload, default_engine=self.engine)
         except JobValidationError as exc:
             ticket = _Ticket("", None)
             ticket.role = "rejected"
@@ -411,7 +406,7 @@ class SegbusService:
                 self._queue.clear()
                 self._wake.clear()
             if batch:
-                self._execute_batch(batch)
+                self._run_batch(batch)
 
     @staticmethod
     def _job_of(ticket: _Ticket) -> ServeJob:
@@ -419,7 +414,7 @@ class SegbusService:
         assert job is not None  # queued tickets always carry their job
         return job
 
-    def _execute_batch(self, batch: List[_Ticket]) -> None:
+    def _run_batch(self, batch: List[_Ticket]) -> None:
         with self._lock:
             self._batches += 1
         result = self.executor.run([self._job_of(t) for t in batch])
@@ -493,6 +488,7 @@ class SegbusService:
                 "p99": pct(99),
             },
             "config": {
+                "engine": self.engine,
                 "workers": self.config.workers,
                 "queue_depth": self.config.queue_depth,
                 "batch_window_s": self._window_s,

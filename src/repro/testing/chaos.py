@@ -240,10 +240,6 @@ class ProbeJob:
     sleep_s: float = 0.0
     fail: bool = False
 
-    def digest(self) -> str:
-        payload = f"probe|{self.label}|{self.value}".encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
-
 
 def run_probe(job: ProbeJob) -> dict:
     """The module-level (picklable) runner for :class:`ProbeJob`."""

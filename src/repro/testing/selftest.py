@@ -29,17 +29,13 @@ least one divergence or drift.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.analysis.executor import (
-    CampaignExecutor,
-    ExecutorPolicy,
-    canonical_digest,
-)
+from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
+from repro.emulator.fastkernel import resolve_engine
 from repro.testing.generators import (
     ADVERSARIAL_SHAPES,
     DEFAULT_PROFILE,
@@ -77,29 +73,20 @@ FAMILY_CYCLE = ("random",) * 5 + ADVERSARIAL_SHAPES + ("multimode",)
 class _FuzzJob:
     """One seeded generate-and-oracle round, picklable for the executor.
 
-    ``engine`` is the *resolved* oracle engine (the parent folds in
-    ``SEGBUS_ENGINE``) so the checkpoint digest cannot silently replay a
-    result produced under a different kernel.
+    ``engine`` is the concrete oracle engine the parent resolved
+    (folding in ``SEGBUS_ENGINE``), so the checkpoint key names the
+    kernel and a resume cannot replay a result produced under another.
     """
 
     seed: int
     profile: GeneratorProfile
     tolerance: OracleTolerance
-    engine: Optional[str]
+    engine: str
     family: str = "random"
 
     @property
     def label(self) -> str:
         return f"fuzz:{self.family}#{self.seed}"
-
-    def digest(self) -> str:
-        return canonical_digest(
-            self.seed,
-            self.profile,
-            self.tolerance,
-            self.engine or "",
-            self.family,
-        )
 
 
 def _run_fuzz_job(job: _FuzzJob) -> Dict[str, object]:
@@ -217,7 +204,7 @@ def run_selftest(
     report = SelftestReport()
     started = time.perf_counter()
 
-    resolved_engine = engine or os.environ.get("SEGBUS_ENGINE") or None
+    resolved_engine = resolve_engine(engine)
     jobs = [
         _FuzzJob(
             seed=base_seed + offset,

@@ -9,24 +9,28 @@ single CPU, so every parallel-path test pins ``workers`` explicitly.
 from __future__ import annotations
 
 import logging
+import time
 
 import pytest
 
+from repro.analysis import executor as executor_module
 from repro.analysis.executor import (
     BatchResult,
     CampaignExecutor,
     CheckpointError,
     CheckpointJournal,
+    ExecutorError,
     ExecutorInterrupted,
     ExecutorPolicy,
     JobError,
     JobFailure,
+    _BACKOFF_MAX_S,
+    _JITTER,
     canonical_digest,
-    execute_batch,
 )
 from repro.testing.chaos import ChaosPlan, ChaosPoisonError, ProbeJob, run_probe
 
-PARALLEL = dict(workers=2, serial_threshold=1)
+PARALLEL = dict(workers=2)
 
 
 def probe_jobs(count: int):
@@ -39,24 +43,24 @@ def expected(count: int):
 
 class TestHappyPath:
     def test_parallel_results_in_input_order(self):
-        batch = execute_batch(probe_jobs(8), run_probe, **PARALLEL)
+        batch = CampaignExecutor(run_probe, **PARALLEL).run(probe_jobs(8))
         assert batch.ok
         assert list(batch.results) == expected(8)
         assert batch.failures == ()
 
     def test_serial_matches_parallel(self):
-        serial = execute_batch(probe_jobs(6), run_probe, workers=1)
-        parallel = execute_batch(probe_jobs(6), run_probe, **PARALLEL)
+        serial = CampaignExecutor(run_probe, workers=1).run(probe_jobs(6))
+        parallel = CampaignExecutor(run_probe, **PARALLEL).run(probe_jobs(6))
         assert list(serial.results) == list(parallel.results)
 
     def test_empty_batch(self):
-        batch = execute_batch([], run_probe, **PARALLEL)
+        batch = CampaignExecutor(run_probe, **PARALLEL).run([])
         assert batch.ok and batch.results == ()
 
     def test_decision_debug_lines(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro.analysis.executor"):
-            execute_batch(probe_jobs(2), run_probe, workers=1)
-            execute_batch(probe_jobs(6), run_probe, **PARALLEL)
+            CampaignExecutor(run_probe, workers=1).run(probe_jobs(2))
+            CampaignExecutor(run_probe, **PARALLEL).run(probe_jobs(6))
         text = caplog.text
         assert "serial path" in text
         assert "parallel path with 2 worker(s)" in text
@@ -66,12 +70,11 @@ class TestHappyPath:
 class TestFailurePaths:
     def test_retry_exhaustion_lands_in_ledger(self):
         jobs = [ProbeJob("good", value=1), ProbeJob("bad", fail=True)]
-        batch = execute_batch(
-            jobs,
+        batch = CampaignExecutor(
             run_probe,
-            policy=ExecutorPolicy(max_attempts=2, backoff_base_s=0.0),
+            policy=ExecutorPolicy(max_attempts=2),
             workers=1,
-        )
+        ).run(jobs)
         assert not batch.ok
         assert batch.results[0] == run_probe(jobs[0])
         assert batch.results[1] is None
@@ -86,12 +89,11 @@ class TestFailurePaths:
 
     def test_job_error_carries_structure(self):
         jobs = [ProbeJob("ok"), ProbeJob("bad_a", fail=True), ProbeJob("bad_b", fail=True)]
-        batch = execute_batch(
-            jobs,
+        batch = CampaignExecutor(
             run_probe,
             policy=ExecutorPolicy(max_attempts=1),
             workers=1,
-        )
+        ).run(jobs)
         with pytest.raises(JobError) as excinfo:
             batch.raise_on_failure(what="probe")
         err = excinfo.value
@@ -105,12 +107,11 @@ class TestFailurePaths:
             ProbeJob("bad_a", fail=True),
             ProbeJob("bad_b", fail=True),
         ]
-        batch = execute_batch(
-            jobs,
+        batch = CampaignExecutor(
             run_probe,
             policy=ExecutorPolicy(max_attempts=1),
             **PARALLEL,
-        )
+        ).run(jobs)
         with pytest.raises(JobError, match="bad_a.*bad_b") as excinfo:
             batch.raise_on_failure(what="probe")
         err = excinfo.value
@@ -124,8 +125,8 @@ class TestFailurePaths:
         # j2's first attempt SIGKILLs its worker; the supervisor must
         # respawn and the retry must produce the same results as a calm run
         plan = ChaosPlan(kill_on=("j2:1",))
-        batch = execute_batch(
-            probe_jobs(6), run_probe, chaos=plan, **PARALLEL
+        batch = CampaignExecutor(run_probe, chaos=plan, **PARALLEL).run(
+            probe_jobs(6)
         )
         assert batch.ok
         assert list(batch.results) == expected(6)
@@ -137,28 +138,24 @@ class TestFailurePaths:
         # j1 stalls on attempt 1; the per-job timeout kills the worker and
         # the retry (no stall pinned for attempt 2) succeeds
         plan = ChaosPlan(stall_on=("j1:1",), stall_s=30.0)
-        batch = execute_batch(
-            probe_jobs(4),
+        batch = CampaignExecutor(
             run_probe,
-            policy=ExecutorPolicy(timeout_s=0.5, backoff_base_s=0.0),
+            policy=ExecutorPolicy(timeout_s=0.5),
             chaos=plan,
             **PARALLEL,
-        )
+        ).run(probe_jobs(4))
         assert batch.ok
         assert list(batch.results) == expected(4)
         assert batch.stats.timeouts == 1
 
     def test_timeout_exhaustion_is_a_failure_not_a_hang(self):
         plan = ChaosPlan(stall_on=("j0:1", "j0:2"), stall_s=30.0)
-        batch = execute_batch(
-            probe_jobs(2),
+        batch = CampaignExecutor(
             run_probe,
-            policy=ExecutorPolicy(
-                max_attempts=2, timeout_s=0.4, backoff_base_s=0.0
-            ),
+            policy=ExecutorPolicy(max_attempts=2, timeout_s=0.4),
             chaos=plan,
             **PARALLEL,
-        )
+        ).run(probe_jobs(2))
         assert not batch.ok
         (failure,) = batch.failures
         assert failure.label == "j0"
@@ -167,13 +164,12 @@ class TestFailurePaths:
 
     def test_crash_exhaustion_reports_crash_kind(self):
         plan = ChaosPlan(kill_on=("j0:1", "j0:2"))
-        batch = execute_batch(
-            probe_jobs(2),
+        batch = CampaignExecutor(
             run_probe,
-            policy=ExecutorPolicy(max_attempts=2, backoff_base_s=0.0),
+            policy=ExecutorPolicy(max_attempts=2),
             chaos=plan,
             **PARALLEL,
-        )
+        ).run(probe_jobs(2))
         assert not batch.ok
         (failure,) = batch.failures
         assert failure.kind == "crash"
@@ -182,49 +178,84 @@ class TestFailurePaths:
 
 class TestBackoffDeterminism:
     def test_delay_schedule_is_reproducible(self):
-        policy = ExecutorPolicy(seed=7)
+        policy = ExecutorPolicy(max_attempts=9)
         a = [policy.delay_s("job", k) for k in range(1, 4)]
-        b = [policy.delay_s("job", k) for k in range(1, 4)]
+        b = [ExecutorPolicy().delay_s("job", k) for k in range(1, 4)]
         assert a == b
-        assert a[0] <= a[1] <= a[2] or max(a) <= policy.backoff_max_s
+        assert a[0] < a[1] < a[2]
 
-    def test_different_seeds_jitter_differently(self):
-        a = ExecutorPolicy(seed=1).delay_s("job", 1)
-        b = ExecutorPolicy(seed=2).delay_s("job", 1)
-        assert a != b
+    def test_different_labels_jitter_differently(self):
+        policy = ExecutorPolicy()
+        assert policy.delay_s("job", 1) != policy.delay_s("other", 1)
 
     def test_delay_capped(self):
-        policy = ExecutorPolicy(backoff_base_s=1.0, backoff_max_s=1.5, jitter=0.0)
-        assert policy.delay_s("job", 10) <= 1.5
+        policy = ExecutorPolicy()
+        for failures in (7, 10, 40, 5000):
+            delay = policy.delay_s("job", failures)
+            assert _BACKOFF_MAX_S <= delay <= _BACKOFF_MAX_S * (1 + _JITTER)
+
+    @pytest.mark.parametrize(
+        "label, failures, delay",
+        [
+            ("j1", 1, 0.0554807839856596),
+            ("j1", 2, 0.11889151850114076),
+            ("j1", 3, 0.23236478777987257),
+            ("fuzz:random#7", 1, 0.06108082313023816),
+            ("x", 10, 2.30271235690992),
+            ("x", 40, 2.4061971293489943),
+        ],
+    )
+    def test_delay_values_pinned(self, label, failures, delay):
+        assert ExecutorPolicy().delay_s(label, failures) == delay
+
+
+class TestPathRule:
+    """``workers`` alone decides where a batch runs."""
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_explicit_workers_enforce_timeouts_on_small_batches(self, count):
+        jobs = [ProbeJob(f"slow{i}", sleep_s=30.0) for i in range(count)]
+        started = time.monotonic()
+        batch = CampaignExecutor(
+            run_probe,
+            policy=ExecutorPolicy(max_attempts=1, timeout_s=0.5),
+            **PARALLEL,
+        ).run(jobs)
+        assert time.monotonic() - started < 5.0
+        assert [f.kind for f in batch.failures] == ["timeout"] * count
+        assert batch.stats.timeouts == count
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ExecutorError, match="workers must be >= 1"):
+            CampaignExecutor(run_probe, workers=workers)
 
 
 class TestCheckpointResume:
     def test_resume_equivalence(self, tmp_path):
         jobs = probe_jobs(8)
-        clean = execute_batch(jobs, run_probe, **PARALLEL)
+        clean = CampaignExecutor(run_probe, **PARALLEL).run(jobs)
 
         # interrupted run: SIGTERM after 3 completions
         with pytest.raises(ExecutorInterrupted):
-            execute_batch(
-                jobs,
+            CampaignExecutor(
                 run_probe,
                 checkpoint_dir=tmp_path,
                 checkpoint_name="camp",
                 chaos=ChaosPlan(interrupt_after=3),
                 **PARALLEL,
-            )
+            ).run(jobs)
         journal = CheckpointJournal(tmp_path, "camp")
         journaled = journal.load()
         assert 0 < len(journaled) < len(jobs)
 
-        resumed = execute_batch(
-            jobs,
+        resumed = CampaignExecutor(
             run_probe,
             checkpoint_dir=tmp_path,
             checkpoint_name="camp",
             resume=True,
             **PARALLEL,
-        )
+        ).run(jobs)
         assert resumed.ok
         assert list(resumed.results) == list(clean.results)
         assert resumed.stats.replayed == len(journaled)
@@ -235,23 +266,21 @@ class TestCheckpointResume:
     def test_resume_digest_keyed_not_position_keyed(self, tmp_path):
         jobs = probe_jobs(4)
         with pytest.raises(ExecutorInterrupted):
-            execute_batch(
-                jobs,
+            CampaignExecutor(
                 run_probe,
                 checkpoint_dir=tmp_path,
                 checkpoint_name="k",
                 chaos=ChaosPlan(interrupt_after=2),
                 **PARALLEL,
-            )
+            ).run(jobs)
         # same digests in a different order still replay
-        resumed = execute_batch(
-            list(reversed(jobs)),
+        resumed = CampaignExecutor(
             run_probe,
             checkpoint_dir=tmp_path,
             checkpoint_name="k",
             resume=True,
             **PARALLEL,
-        )
+        ).run(list(reversed(jobs)))
         assert resumed.ok
         assert list(resumed.results) == list(reversed(expected(4)))
         assert resumed.stats.replayed >= 2
@@ -259,27 +288,25 @@ class TestCheckpointResume:
     def test_torn_trailing_record_tolerated(self, tmp_path):
         jobs = probe_jobs(4)
         with pytest.raises(ExecutorInterrupted):
-            execute_batch(
-                jobs,
+            CampaignExecutor(
                 run_probe,
                 checkpoint_dir=tmp_path,
                 checkpoint_name="torn",
                 chaos=ChaosPlan(interrupt_after=2),
                 **PARALLEL,
-            )
+            ).run(jobs)
         journal = CheckpointJournal(tmp_path, "torn")
         before = len(journal.load())
         with open(journal.path, "ab") as fh:
             fh.write(b'{"v": 1, "digest": "abc", "payl')  # torn mid-write
         assert len(journal.load()) == before  # dropped, not fatal
-        resumed = execute_batch(
-            jobs,
+        resumed = CampaignExecutor(
             run_probe,
             checkpoint_dir=tmp_path,
             checkpoint_name="torn",
             resume=True,
             **PARALLEL,
-        )
+        ).run(jobs)
         assert resumed.ok and list(resumed.results) == expected(4)
 
     def test_corrupt_middle_record_rejected(self, tmp_path):
@@ -296,30 +323,61 @@ class TestCheckpointResume:
 
     def test_failed_batch_keeps_live_journal_for_retry(self, tmp_path):
         jobs = [ProbeJob("ok", value=3), ProbeJob("bad", fail=True)]
-        batch = execute_batch(
-            jobs,
+        batch = CampaignExecutor(
             run_probe,
             policy=ExecutorPolicy(max_attempts=1),
             checkpoint_dir=tmp_path,
             checkpoint_name="partial",
             workers=1,
-        )
+        ).run(jobs)
         assert not batch.ok
         journal = CheckpointJournal(tmp_path, "partial")
         assert journal.path.is_file()          # live journal kept
         assert not journal.done_path.is_file() # no premature finalize
         # a resume replays the good job and retries only the bad one
-        resumed = execute_batch(
-            jobs,
+        resumed = CampaignExecutor(
             run_probe,
             policy=ExecutorPolicy(max_attempts=1),
             checkpoint_dir=tmp_path,
             checkpoint_name="partial",
             resume=True,
             workers=1,
-        )
+        ).run(jobs)
         assert resumed.stats.replayed == 1
         assert resumed.results[0] == run_probe(jobs[0])
+
+
+class TestJournalKeys:
+    def test_keys_are_computed_only_for_a_journal(self, tmp_path, monkeypatch):
+        calls = []
+        real = executor_module.canonical_digest
+
+        def counting(*values):
+            calls.append(values)
+            return real(*values)
+
+        monkeypatch.setattr(executor_module, "canonical_digest", counting)
+        jobs = probe_jobs(4)
+        CampaignExecutor(run_probe, workers=1).run(jobs)
+        assert calls == []
+        CampaignExecutor(
+            run_probe, workers=1, checkpoint_dir=tmp_path, checkpoint_name="k"
+        ).run(jobs)
+        assert calls == [(job,) for job in jobs]
+        journaled = CheckpointJournal(tmp_path, "k").load()
+        assert set(journaled) == {real(job) for job in jobs}
+
+    def test_a_job_differing_in_any_field_reruns(self, tmp_path):
+        journal = dict(workers=1, checkpoint_dir=tmp_path, checkpoint_name="f")
+        CampaignExecutor(run_probe, **journal).run([ProbeJob("j0", value=1)])
+        batch = CampaignExecutor(
+            run_probe,
+            policy=ExecutorPolicy(max_attempts=1),
+            resume=True,
+            **journal,
+        ).run([ProbeJob("j0", value=1, fail=True)])
+        assert batch.stats.replayed == 0
+        assert [f.label for f in batch.failures] == ["j0"]
 
 
 class TestCanonicalDigest:
@@ -328,7 +386,7 @@ class TestCanonicalDigest:
         assert canonical_digest("a", 1) == canonical_digest("a", 1)
         assert canonical_digest("a", 1) != canonical_digest("a", 2)
 
-    def test_emulation_job_digest_covers_config(self):
+    def test_emulation_job_key_covers_config(self):
         from repro.analysis.reliability import _ReliabilityJob
         from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
         from repro.emulator.config import EmulationConfig
@@ -347,10 +405,10 @@ class TestCanonicalDigest:
                 **extra,
             )
 
-        a = job()
-        assert a.digest() != job(config=EmulationConfig(bu_sync_ticks=5)).digest()
-        assert a.digest() != job(engine="stepped").digest()
-        assert a.digest() == job().digest()
+        a = canonical_digest(job())
+        assert a != canonical_digest(job(config=EmulationConfig(bu_sync_ticks=5)))
+        assert a != canonical_digest(job(engine="stepped"))
+        assert a == canonical_digest(job())
 
     def test_emulation_job_default_config_is_per_instance(self):
         # field(default_factory=...) — no shared default object

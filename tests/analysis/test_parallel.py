@@ -16,7 +16,7 @@ from repro.analysis.campaign import (
     _run_variant,
     _VariantTask,
 )
-from repro.analysis.executor import JobError, JobFailure, execute_batch
+from repro.analysis.executor import CampaignExecutor, JobError, JobFailure
 from repro.analysis.power import PowerCoefficients
 from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
 from repro.emulator.config import EmulationConfig
@@ -52,7 +52,7 @@ def make_broken_job(label="broken"):
 
 def emulate(jobs, **kwargs):
     tasks = [_VariantTask(job, PowerCoefficients()) for job in jobs]
-    return execute_batch(tasks, _run_variant, **kwargs)
+    return CampaignExecutor(_run_variant, **kwargs).run(tasks)
 
 
 def emulate_rows(jobs, **kwargs):
@@ -72,9 +72,10 @@ class TestParallelEmulate:
         assert serial == parallel  # bit-identical rows
 
     def test_small_batch_runs_serially(self, caplog):
+        # with workers unset, fewer than three pending jobs stay in-process
         jobs = make_jobs()[:2]
         with caplog.at_level(logging.DEBUG, logger="repro.analysis.executor"):
-            batch = emulate(jobs, workers=4, serial_threshold=3)
+            batch = emulate(jobs)
         assert batch.ok and len(batch.results) == 2
         assert "serial path" in caplog.text  # no pool spun up
         assert "parallel path" not in caplog.text

@@ -58,6 +58,15 @@ class TestFaultsCommand:
         rc = main(["faults", "--app", "doom"])
         assert rc == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, workers, capsys):
+        rc = main(
+            ["faults", "--rates", "0.0", "--seeds", "1", "--workers", workers]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"segbus: error: workers must be >= 1, got {workers}\n"
+
 
 class TestErrorHandling:
     def test_segbus_error_exits_2_with_one_line(self, tmp_path, capsys):

@@ -51,6 +51,27 @@ class TestSelftestCommand:
         assert store.is_file()
         assert "re-pinned" in capsys.readouterr().out
 
+    def test_workers_below_one_exit_2(self, capsys):
+        rc = main(["selftest", "--count", "3", "--skip-golden", "--workers", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "segbus: error: workers must be >= 1, got 0\n"
+
+    def test_bad_engine_env_exits_2_before_any_job(self, capsys, monkeypatch):
+        def refuse(job):
+            raise AssertionError(f"{job.label} ran under a bad engine")
+
+        monkeypatch.setenv("SEGBUS_ENGINE", "warp")
+        monkeypatch.setattr("repro.testing.selftest._run_fuzz_job", refuse)
+        rc = main(["selftest", "--count", "3", "--skip-golden", "--workers", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "segbus: error: unknown emulation engine 'warp'"
+        )
+        assert len(captured.err.splitlines()) == 1
+
     def test_missing_models_dir_is_cli_error(self, tmp_path, capsys):
         rc = main(
             [

@@ -135,3 +135,12 @@ class TestServeRetries:
         assert main(["serve", "--port", "0", "--retries", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("segbus: error: max_attempts must be >= 1")
+
+    def test_zero_workers_exit_2_before_binding(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("segbus serve bound a port")
+
+        monkeypatch.setattr("repro.serve.server.create_server", refuse)
+        assert main(["serve", "--port", "0", "--serve-workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "segbus: error: workers must be >= 1, got 0\n"

@@ -1,9 +1,9 @@
 """Backpressure and chaos: deterministic 429s, crash recovery, ledgers.
 
-The service's executor runs with ``serial_threshold=1`` whenever
-``workers >= 2``, so even a lone queued job takes the supervised
-parallel path — which is exactly where the chaos hazards (worker kills,
-stalls, poisoned jobs) and per-job timeouts live.
+The executor runs every job in a supervised worker whenever
+``workers >= 2``, so even a lone queued job takes the parallel path —
+which is exactly where the chaos hazards (worker kills, stalls,
+poisoned jobs) and per-job timeouts live.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.emulator.fastkernel import ENGINE_NAMES
+from repro.emulator.fastkernel import ENGINE_NAMES, resolve_engine
 from repro.errors import SegBusError
 from repro.serve.loadgen import (
     LoadPlan,
@@ -129,6 +129,34 @@ class TestRun:
         report = run_loadgen(
             plan, service=service, concurrency=1, verify=True
         )
+        assert report.verified == plan.unique_payloads
+        assert report.divergences == []
+
+    def test_verify_uses_the_services_default_engine(self, service_factory):
+        other = next(name for name in ENGINE_NAMES if name != resolve_engine())
+        service = service_factory(engine=other)
+        plan = build_plan(WORKLOAD_CORPUS, requests=4, repeat_ratio=0.0)
+        report = run_loadgen(
+            plan, service=service, concurrency=1, verify=True
+        )
+        assert report.verified == plan.unique_payloads
+        assert report.divergences == []
+
+    def test_verify_over_http_uses_the_servers_default_engine(
+        self, service_factory
+    ):
+        other = next(name for name in ENGINE_NAMES if name != resolve_engine())
+        server = create_server(service_factory(engine=other))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            plan = build_plan(WORKLOAD_CORPUS, requests=4, repeat_ratio=0.0)
+            report = run_loadgen(
+                plan, url=server.url, concurrency=1, verify=True
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
         assert report.verified == plan.unique_payloads
         assert report.divergences == []
 

@@ -11,7 +11,10 @@ import time
 
 import pytest
 
+from repro.analysis.executor import ExecutorError
 from repro.cli import main
+from repro.emulator.fastkernel import resolve_engine
+from repro.errors import SegBusError
 from repro.faults.model import FaultPlan, FaultRecord
 from repro.serve.jobs import execute_job, parse_job, response_bytes
 from repro.serve.service import SegbusService, ServiceConfig
@@ -486,3 +489,18 @@ class TestLifecycle:
     def test_stats_echo_the_config(self, service_factory):
         service = service_factory(queue_depth=7)
         assert service.stats()["config"]["queue_depth"] == 7
+
+    def test_stats_report_the_resolved_default_engine(self, service_factory):
+        default = service_factory(auto_start=False)
+        assert default.stats()["config"]["engine"] == resolve_engine()
+        fast = service_factory(auto_start=False, engine="fast")
+        assert fast.stats()["config"]["engine"] == "fast"
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ExecutorError, match="workers must be >= 1, got 0"):
+            SegbusService(ServiceConfig(workers=0))
+
+    def test_bad_engine_env_fails_at_construction(self, monkeypatch):
+        monkeypatch.setenv("SEGBUS_ENGINE", "warp")
+        with pytest.raises(SegBusError, match="unknown emulation engine 'warp'"):
+            SegbusService(ServiceConfig(), auto_start=False)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.executor import ExecutorPolicy, execute_batch
+from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.testing.chaos import (
     KILL,
     POISON,
@@ -29,7 +29,7 @@ from repro.testing.chaos import (
     run_probe,
 )
 
-PARALLEL = dict(workers=2, serial_threshold=1)
+PARALLEL = dict(workers=2)
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
@@ -89,13 +89,12 @@ class TestPoisonedJob:
     def test_poison_lands_in_ledger_without_aborting(self):
         plan = ChaosPlan(poison_labels=("j3",))
         jobs = [ProbeJob(label=f"j{i}", value=i) for i in range(6)]
-        batch = execute_batch(
-            jobs,
+        batch = CampaignExecutor(
             run_probe,
-            policy=ExecutorPolicy(max_attempts=2, backoff_base_s=0.0),
+            policy=ExecutorPolicy(max_attempts=2),
             chaos=plan,
             **PARALLEL,
-        )
+        ).run(jobs)
         assert not batch.ok
         (failure,) = batch.failures
         assert failure.label == "j3"
