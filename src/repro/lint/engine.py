@@ -12,8 +12,9 @@ emulator's strict mode), :func:`lint_paths` for XML scheme files (the CLI).
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.lint.context import LintContext, SchemeFile
 from repro.lint.core import LintReport, Rule, RuleRegistry, Severity
@@ -66,8 +67,14 @@ def registry_hash(registry: Optional[RuleRegistry] = None) -> str:
     strict-emulate responses on this hash (docs/SERVING.md), so adding,
     removing, re-levelling or rewording a rule invalidates previously
     cached findings instead of replaying them stale.
+
+    Without ``registry`` it fingerprints :func:`default_registry`'s
+    catalogue.  The catalogue is code, so that digest is computed once
+    per process, and again only if ``default_registry`` itself is
+    replaced.
     """
-    registry = registry if registry is not None else default_registry()
+    if registry is None:
+        return _catalogue_hash(default_registry)
     digest = hashlib.sha256()
     for rule in registry:
         digest.update(
@@ -75,6 +82,11 @@ def registry_hash(registry: Optional[RuleRegistry] = None) -> str:
             f"{rule.category}|{rule.description}\n".encode("utf-8")
         )
     return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def _catalogue_hash(build: Callable[[], RuleRegistry]) -> str:
+    return registry_hash(build())
 
 
 def run_rules(

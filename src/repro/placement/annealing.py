@@ -4,7 +4,8 @@ A classic Metropolis loop on the move/swap neighbourhood of
 :mod:`repro.placement.kernighan_lin`, with a geometric cooling schedule.
 Fully deterministic for a fixed seed (``numpy.random.default_rng``).
 Useful on instances too large for exhaustive search where greedy+KL get
-stuck in local minima.
+stuck in local minima.  Each proposal is scored by its change in cost
+(:class:`~repro.placement.cost.MoveScorer`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.errors import PlacementError
-from repro.placement.cost import objective
+from repro.placement.cost import MoveScorer, objective
 from repro.placement.greedy import greedy_placement
 from repro.psdf.matrix import CommunicationMatrix
 
@@ -35,44 +36,40 @@ def annealed_placement(
     if not 0.0 < cooling < 1.0:
         raise PlacementError(f"cooling must be in (0, 1), got {cooling}")
     rng = np.random.default_rng(seed)
-    current: Dict[str, int] = dict(
+    start: Dict[str, int] = dict(
         initial if initial is not None else greedy_placement(matrix, segment_count)
     )
-    names = sorted(current)
-    cost = objective(matrix, current, segment_count, balance_weight)
-    best, best_cost = dict(current), cost
+    cost = objective(matrix, start, segment_count, balance_weight)
+    scorer = MoveScorer(matrix, start, segment_count, balance_weight)
+    segs, counts, n = scorer.segs, scorer.counts, len(scorer.names)
+    best, best_cost = list(segs), cost
     temperature = start_temperature
     for _ in range(steps):
         if rng.random() < 0.5:
             # move: one process to a random other segment
-            name = names[int(rng.integers(len(names)))]
-            home = current[name]
-            if sum(1 for s in current.values() if s == home) <= 1:
+            process = int(rng.integers(n))
+            if counts[segs[process] - 1] <= 1:
                 temperature *= cooling
                 continue
             seg = int(rng.integers(1, segment_count + 1))
-            if seg == home:
+            if seg == segs[process]:
                 temperature *= cooling
                 continue
-            current[name] = seg
-            undo = [(name, home)]
+            delta = scorer.move_delta(process, seg)
+            apply, args = scorer.move, (process, seg)
         else:
             # swap two processes on different segments
-            a = names[int(rng.integers(len(names)))]
-            b = names[int(rng.integers(len(names)))]
-            if a == b or current[a] == current[b]:
+            a = int(rng.integers(n))
+            b = int(rng.integers(n))
+            if a == b or segs[a] == segs[b]:
                 temperature *= cooling
                 continue
-            current[a], current[b] = current[b], current[a]
-            undo = [(a, current[b]), (b, current[a])]
-        trial = objective(matrix, current, segment_count, balance_weight)
-        delta = trial - cost
+            delta = scorer.swap_delta(a, b)
+            apply, args = scorer.swap, (a, b)
         if delta <= 0 or rng.random() < np.exp(-delta / max(temperature, 1e-9)):
-            cost = trial
+            apply(*args)
+            cost += delta
             if cost < best_cost:
-                best, best_cost = dict(current), cost
-        else:
-            for name, seg in undo:
-                current[name] = seg
+                best, best_cost = list(segs), cost
         temperature *= cooling
-    return best
+    return scorer.placement(start, best)

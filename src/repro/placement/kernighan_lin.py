@@ -4,13 +4,17 @@ Repeatedly tries single-process moves and pairwise swaps between segments,
 accepting any change that lowers the full objective, until a fixed point
 (or an iteration cap).  Preserves feasibility: a move never empties a
 segment.  Deterministic scan order.
+
+A candidate is scored by its change in cost: the traffic term changes only
+on the moved processes' links, and the balance penalty only with the
+per-segment counts (:class:`~repro.placement.cost.MoveScorer`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping
 
-from repro.placement.cost import objective
+from repro.placement.cost import MoveScorer, objective
 from repro.psdf.matrix import CommunicationMatrix
 
 
@@ -22,39 +26,30 @@ def refine_placement(
     max_rounds: int = 50,
 ) -> Dict[str, int]:
     """Hill-climb ``placement`` with moves and swaps; returns a new dict."""
-    current: Dict[str, int] = dict(placement)
-    names = sorted(current)
-    cost = objective(matrix, current, segment_count, balance_weight)
+    # validates the start (segments in range, no process missing)
+    objective(matrix, placement, segment_count, balance_weight)
+    scorer = MoveScorer(matrix, placement, segment_count, balance_weight)
+    segs, counts, n = scorer.segs, scorer.counts, len(scorer.names)
     for _ in range(max_rounds):
         improved = False
         # single moves
-        for name in names:
-            home = current[name]
-            if sum(1 for s in current.values() if s == home) <= 1:
+        for process in range(n):
+            if counts[segs[process] - 1] <= 1:
                 continue  # would empty its segment
             for seg in range(1, segment_count + 1):
-                if seg == home:
+                if seg == segs[process]:
                     continue
-                current[name] = seg
-                trial = objective(matrix, current, segment_count, balance_weight)
-                if trial < cost:
-                    cost = trial
-                    home = seg
+                if scorer.move_delta(process, seg) < 0:
+                    scorer.move(process, seg)
                     improved = True
-                else:
-                    current[name] = home
         # pairwise swaps
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                if current[a] == current[b]:
+        for a in range(n):
+            for b in range(a + 1, n):
+                if segs[a] == segs[b]:
                     continue
-                current[a], current[b] = current[b], current[a]
-                trial = objective(matrix, current, segment_count, balance_weight)
-                if trial < cost:
-                    cost = trial
+                if scorer.swap_delta(a, b) < 0:
+                    scorer.swap(a, b)
                     improved = True
-                else:
-                    current[a], current[b] = current[b], current[a]
         if not improved:
             break
-    return current
+    return scorer.placement(placement)

@@ -10,12 +10,12 @@ the paper's Fig. 9 allocation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.model.mapping import Allocation
 from repro.placement.annealing import annealed_placement
 from repro.placement.cost import balance_penalty, objective, placement_cost
-from repro.placement.exhaustive import exhaustive_placement
+from repro.placement.exhaustive import DEFAULT_BUDGET, exhaustive_placement
 from repro.placement.greedy import greedy_placement
 from repro.placement.kernighan_lin import refine_placement
 from repro.psdf.graph import PSDFGraph
@@ -46,7 +46,7 @@ class PlaceTool:
     def __init__(
         self,
         balance_weight: int = 1,
-        exact_budget: int = 60_000,
+        exact_budget: int = DEFAULT_BUDGET,
         anneal: bool = True,
         seed: int = 0,
     ) -> None:
@@ -125,6 +125,37 @@ class PlaceTool:
             solver="given",
         )
 
+    def _neighbourhood(
+        self,
+        matrix: CommunicationMatrix,
+        base: Dict[str, int],
+        segment_count: int,
+        limit: int,
+    ) -> List[Dict[str, int]]:
+        """``base`` and its ``limit`` cheapest single-move neighbours by
+        objective (a stable sort, so scan order breaks ties), leaving out
+        duplicates and any placement that empties a segment."""
+        segments = set(range(1, segment_count + 1))
+        neighbours = []
+        for process in sorted(base):
+            for seg in range(1, segment_count + 1):
+                if seg == base[process]:
+                    continue
+                trial = dict(base)
+                trial[process] = seg
+                if set(trial.values()) == segments:
+                    neighbours.append(
+                        (objective(matrix, trial, segment_count,
+                                   self.balance_weight), trial)
+                    )
+        neighbours.sort(key=lambda item: item[0])
+        candidates: Dict[tuple, Dict[str, int]] = {}
+        for placement in [base] + [trial for _, trial in neighbours[:limit]]:
+            if set(placement.values()) == segments:
+                key = tuple(sorted(placement.items()))
+                candidates.setdefault(key, dict(placement))
+        return list(candidates.values())
+
     def solve_emulated(
         self,
         application: PSDFGraph,
@@ -148,36 +179,14 @@ class PlaceTool:
 
         matrix = build_communication_matrix(application)
         base = self.solve_matrix(matrix, segment_count)
-        candidates: Dict[tuple, Dict[str, int]] = {}
-
-        def add(placement: Dict[str, int]) -> None:
-            if set(placement.values()) != set(range(1, segment_count + 1)):
-                return  # would empty a segment
-            key = tuple(sorted(placement.items()))
-            candidates.setdefault(key, dict(placement))
-
-        add(base.placement)
-        neighbours = []
-        for process in sorted(base.placement):
-            for seg in range(1, segment_count + 1):
-                if seg == base.placement[process]:
-                    continue
-                trial = dict(base.placement)
-                trial[process] = seg
-                if set(trial.values()) != set(range(1, segment_count + 1)):
-                    continue
-                neighbours.append(
-                    (objective(matrix, trial, segment_count,
-                               self.balance_weight), trial)
-                )
-        neighbours.sort(key=lambda item: item[0])
-        for _, trial in neighbours[:neighbourhood]:
-            add(trial)
+        candidates = self._neighbourhood(
+            matrix, base.placement, segment_count, neighbourhood
+        )
 
         best_placement: Optional[Dict[str, int]] = None
         best_us = float("inf")
         evaluated = 0
-        for placement in candidates.values():
+        for placement in candidates:
             psm = map_application(
                 application,
                 Allocation.from_placement(placement),
@@ -230,31 +239,9 @@ class PlaceTool:
             raise ValueError(f"confirm must be >= 1, got {confirm}")
         matrix = build_communication_matrix(application)
         base = self.solve_matrix(matrix, segment_count)
-        candidates: Dict[tuple, Dict[str, int]] = {}
-
-        def add(placement: Dict[str, int]) -> None:
-            if set(placement.values()) != set(range(1, segment_count + 1)):
-                return  # would empty a segment
-            key = tuple(sorted(placement.items()))
-            candidates.setdefault(key, dict(placement))
-
-        add(base.placement)
-        neighbours = []
-        for process in sorted(base.placement):
-            for seg in range(1, segment_count + 1):
-                if seg == base.placement[process]:
-                    continue
-                trial = dict(base.placement)
-                trial[process] = seg
-                if set(trial.values()) != set(range(1, segment_count + 1)):
-                    continue
-                neighbours.append(
-                    (objective(matrix, trial, segment_count,
-                               self.balance_weight), trial)
-                )
-        neighbours.sort(key=lambda item: item[0])
-        for _, trial in neighbours[:neighbourhood]:
-            add(trial)
+        candidates = self._neighbourhood(
+            matrix, base.placement, segment_count, neighbourhood
+        )
 
         def mapped_platform(placement: Dict[str, int]):
             return map_application(
@@ -266,7 +253,7 @@ class PlaceTool:
             ).platform
 
         ranked = []
-        for placement in candidates.values():
+        for placement in candidates:
             platform = mapped_platform(placement)
             estimate = stochastic_estimate(
                 application, PlatformSpec.from_platform(platform)

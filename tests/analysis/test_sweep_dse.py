@@ -1,5 +1,8 @@
 """Parameter sweep and design-space exploration tests."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis.dse import explore_design_space
@@ -78,6 +81,32 @@ class TestDSE:
             ca_frequency_mhz=PAPER_CA_FREQUENCY_MHZ,
         )
         assert all("placetool" in p.allocation_source for p in points)
+
+
+class TestDSEPin:
+    """perfbench's sweep grid ranks exactly as before on both engines:
+    same PlaceTool allocations, same emulated times, same order."""
+
+    #: sha256 over ``[source, segments, package size, time_fs]`` per point,
+    #: the rule of ``perfbench/sweep_worker.py``'s ``dse_checksum``
+    CHECKSUM = "bf76dc8846a4e0aabc9e87d630e608b72e452b982a0073e1f2c3b37fd696afab"
+
+    @pytest.mark.parametrize("engine", ["stepped", "fast"])
+    def test_perfbench_grid_checksum(self, mp3_graph, engine, monkeypatch):
+        monkeypatch.setenv("SEGBUS_ENGINE", engine)
+        points = explore_design_space(
+            mp3_graph, (2, 3), (3, 4, 6),
+            paper_segment_frequencies_mhz, PAPER_CA_FREQUENCY_MHZ,
+            extra_allocations=[(f"paper{n}", paper_allocation(n)) for n in (2, 3)],
+            workers=1,
+        )
+        ranking = [
+            [p.allocation_source, p.segment_count, p.package_size,
+             p.report.execution_time_fs]
+            for p in points
+        ]
+        digest = hashlib.sha256(json.dumps(ranking).encode()).hexdigest()
+        assert digest == self.CHECKSUM
 
 
 class TestEstimatorPrune:

@@ -49,6 +49,23 @@ class TestBalancePenalty:
     def test_positive_for_skew(self):
         assert balance_penalty({"A": 1, "B": 1, "C": 1, "D": 2}, 2) > 0
 
+    @pytest.mark.parametrize(
+        "placement, message",
+        [
+            # segment 0 used to be counted as the last segment
+            ({"A": 0, "B": 1}, "process 'A' placed on segment 0, outside 1..2"),
+            ({"A": -1, "B": 1, "C": 1}, "segment -1, outside 1..2"),
+            ({"A": 3, "B": 1}, "segment 3, outside 1..2"),
+        ],
+    )
+    def test_out_of_range_segment_rejected(self, placement, message):
+        with pytest.raises(PlacementError, match=message):
+            balance_penalty(placement, 2)
+
+    def test_bad_segment_count_rejected(self):
+        with pytest.raises(PlacementError, match="segment count must be >= 1, got 0"):
+            balance_penalty({"A": 1}, 0)
+
     def test_weight_scales(self):
         placement = {"A": 1, "B": 1, "C": 2, "D": 1}
         assert balance_penalty(placement, 2, weight=3) == 3 * balance_penalty(

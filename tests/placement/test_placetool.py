@@ -52,6 +52,33 @@ class TestSolve:
         assert result.total_cost == result.traffic_cost + result.balance_cost
 
 
+class TestMp3Pins:
+    """The allocations PlaceTool hands the emulator for the paper's MP3
+    decoder, per segment count: solver, placement (key order included)
+    and the traffic/balance split."""
+
+    PINS = {
+        1: ("exhaustive", "P0 P1 P8 P2 P3 P9 P10 P11 P5 P4 P6 P7 P14 P12 P13",
+            "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1", 0, 0),
+        2: ("exhaustive", "P0 P1 P8 P2 P3 P9 P10 P11 P5 P4 P6 P7 P14 P12 P13",
+            "1 1 1 1 1 1 1 1 1 2 1 1 1 1 1", 72, 84),
+        3: ("greedy+kl+sa", "P3 P0 P1 P8 P11 P12 P13 P14 P7 P2 P9 P10 P4 P5 P6",
+            "2 2 2 2 1 1 1 1 1 2 2 2 3 1 1", 1224, 24),
+        4: ("greedy+kl+sa", "P3 P0 P1 P11 P12 P8 P13 P14 P7 P2 P5 P6 P9 P4 P10",
+            "2 2 2 3 3 2 3 3 4 2 4 4 2 4 1", 2376, 12),
+    }
+
+    @pytest.mark.parametrize("segments", sorted(PINS))
+    def test_solve(self, mp3_graph, segments):
+        solver, names, segs, traffic, balance = self.PINS[segments]
+        result = PlaceTool().solve(mp3_graph, segments)
+        assert result.solver == solver
+        assert list(result.placement.items()) == list(
+            zip(names.split(), map(int, segs.split()))
+        )
+        assert (result.traffic_cost, result.balance_cost) == (traffic, balance)
+
+
 class TestEvaluate:
     def test_costs_a_given_allocation(self, mp3_graph, allocation_3seg):
         matrix = build_communication_matrix(mp3_graph)

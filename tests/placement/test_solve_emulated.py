@@ -25,6 +25,15 @@ class TestSolveEmulated:
     def test_evaluates_multiple_candidates(self, result):
         assert result.candidates_evaluated > 1
 
+    def test_pinned_winner(self, result):
+        # the base solve plus its 8 cheapest single moves, all emulated
+        assert result.candidates_evaluated == 9
+        assert result.execution_time_us == 452.927927475
+        assert result.proxy_cost == 1250
+        assert str(result.allocation()) == (
+            "P5 P6 P7 P12 P13 P14 || P0 P1 P2 P3 P8 P9 P10 P11 || P4"
+        )
+
     def test_not_worse_than_paper_allocation(self, result, mp3_graph):
         paper = emulate(mp3_graph, paper_platform(3))
         assert result.execution_time_us <= paper.execution_time_us + 1e-6

@@ -27,6 +27,15 @@ class TestSolveEstimated:
         assert result.candidates_estimated > result.candidates_emulated
         assert result.candidates_emulated <= 4  # the default confirm
 
+    def test_pinned_winner(self, result):
+        # same winner as solve_emulated, from 29 estimates and 4 emulations
+        assert (result.candidates_estimated, result.candidates_emulated) == (29, 4)
+        assert result.execution_time_us == 452.927927475
+        assert result.proxy_cost == 1250
+        assert str(result.allocation()) == (
+            "P5 P6 P7 P12 P13 P14 || P0 P1 P2 P3 P8 P9 P10 P11 || P4"
+        )
+
     def test_winner_carries_both_numbers(self, result):
         assert result.execution_time_us > 0
         assert result.estimated_us > 0

@@ -186,3 +186,36 @@ class TestVersionKeys:
         cache.put(cache_key(job), b"stale-findings")
         self._bump_registry(monkeypatch)
         assert cache.get(cache_key(job)) is None
+
+    def test_the_catalogue_is_hashed_once_per_process(self, monkeypatch):
+        # the built-in catalogue is code: 50 lint and strict keys build
+        # its 48 rules once, not once per key
+        from repro.lint import engine as lint_engine
+
+        real = lint_engine.default_registry
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(lint_engine, "default_registry", counted)
+        jobs = [
+            parse_job({"kind": "lint", "workload": "bursty"}),
+            parse_job({"kind": "emulate", "workload": "bursty", "strict": True}),
+        ]
+        keys = {cache_key(job) for _ in range(25) for job in jobs}
+        assert len(keys) == 2
+        assert len(builds) == 1
+
+    def test_an_explicit_registry_is_hashed_fresh(self):
+        from repro.lint import RuleRegistry, default_registry, registry_hash
+
+        registry = RuleRegistry()
+        rules = list(default_registry())
+        for rule in rules[:-1]:
+            registry.register(rule)
+        before = registry_hash(registry)
+        registry.register(rules[-1])
+        assert registry_hash(registry) != before
+        assert registry_hash(registry) == registry_hash()
