@@ -29,6 +29,7 @@ from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.emulator.config import EmulationConfig
 from repro.emulator.emulator import SegBusEmulator
 from repro.emulator.fastkernel import make_simulation, resolve_engine
+from repro.emulator.kernel import PlatformSpec
 from repro.emulator.report import build_report
 from repro.errors import FaultConfigError, SegBusError
 from repro.faults.model import KIND_CORRUPTION, TRANSIENT_KINDS, FaultPlan
@@ -150,11 +151,16 @@ _RATE_KW = {
 
 @dataclass(frozen=True)
 class _ReliabilityJob:
-    """One (rate, seed) emulation, picklable for the campaign executor."""
+    """One (rate, seed) emulation, picklable for the campaign executor.
+
+    ``application`` and ``spec`` are what the sweep's emulator parsed from
+    the schemes, so every point runs on the same scheme-routed inputs as
+    the baseline and the counting reference.
+    """
 
     label: str
     application: PSDFGraph
-    platform: SegBusPlatform
+    spec: PlatformSpec
     kind: str
     rate: float
     seed: int
@@ -182,13 +188,16 @@ def _run_reliability_job(job: _ReliabilityJob) -> Dict[str, object]:
     ledger.
     """
     try:
-        report = SegBusEmulator.from_models(
-            job.application,
-            job.platform,
-            config=job.config,
-            fault_plan=_fault_plan(job),
-            retry_policy=job.retry_policy,
-        ).run(engine=job.engine)
+        report = build_report(
+            make_simulation(
+                job.application,
+                job.spec,
+                job.config,
+                engine=job.engine,
+                fault_plan=_fault_plan(job),
+                retry_policy=job.retry_policy,
+            ).run()
+        )
     except SegBusError:
         return {"status": "failed"}
     return _report_outcome(report)
@@ -229,9 +238,13 @@ def reliability_sweep(
     raises a :class:`~repro.errors.SegBusError` (retry exhaustion under a
     ``fail`` policy, a watchdog/budget stop) counts as *failed*, a run that
     finishes with ``degraded=True`` as *degraded*, anything else as
-    *completed*.  The fault-free baseline is emulated once for the
-    overhead column.  ``engine`` picks the simulation kernel (default
-    honours ``SEGBUS_ENGINE``).
+    *completed*.  The models are routed through the schemes once
+    (:meth:`SegBusEmulator.from_models
+    <repro.emulator.emulator.SegBusEmulator.from_models>`); the
+    fault-free baseline, the counting reference below and every
+    simulated point run on that emulator's ``application`` and ``spec``.
+    ``engine`` picks the simulation kernel (default honours
+    ``SEGBUS_ENGINE``).
 
     Points whose fault streams provably never fire are not simulated: one
     counting reference run censuses the fault-draw opportunities of the
@@ -285,14 +298,14 @@ def reliability_sweep(
     jobs = [
         _ReliabilityJob(
             label=f"{kind}@{rate:g}#s{seed}",
-            application=application,
-            platform=platform,
+            application=emulator.application,
+            spec=emulator.spec,
             kind=kind,
             rate=rate,
             seed=seed,
             stall_ticks=stall_ticks,
             retry_policy=policy,
-            config=config,
+            config=emulator.config,
             engine=resolved,
         )
         for rate in rates

@@ -1,10 +1,13 @@
 """The emulator facade: the paper's ``SegBusEmulatorView``.
 
-Accepts the two XML schemes (or, for convenience, model objects that are
-routed *through* the XML writers and parsers — the design flow of Fig. 3
-always passes via the schemes, so nothing the schemes cannot carry can
-influence the emulation), builds the communication matrix, instantiates the
-platform-element runtimes and runs the emulation.
+Accepts the two XML schemes, or model objects routed *through* the schemes
+(the design flow of Fig. 3 always passes via the schemes): the writers build
+the PSDF and PSM scheme documents and the same parsers that read scheme
+files read them, so nothing the schemes cannot carry can influence the
+emulation.  Only the XML text is skipped for model objects; the equivalence
+suite (``tests/xmlio/test_document_equivalence.py``) holds the text to the
+documents.  The facade then builds the communication matrix, instantiates
+the platform-element runtimes and runs the emulation.
 
 >>> from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
 >>> emulator = SegBusEmulator.from_models(mp3_decoder_psdf(), paper_platform())
@@ -22,15 +25,15 @@ from repro.emulator.config import EmulationConfig
 from repro.emulator.fastkernel import resolve_engine, simulation_class
 from repro.emulator.kernel import PlatformSpec, Simulation
 from repro.emulator.report import EmulationReport, build_report
-from repro.errors import EmulationError, LintError
+from repro.errors import LintError
 from repro.model.elements import SegBusPlatform
-from repro.psdf.flow import FlowCost, PacketFlow
+from repro.psdf.flow import PacketFlow
 from repro.psdf.graph import PSDFGraph
 from repro.psdf.matrix import CommunicationMatrix, build_communication_matrix
-from repro.xmlio.psdf_parser import parse_psdf_xml
-from repro.xmlio.psdf_writer import psdf_to_xml
-from repro.xmlio.psm_parser import parse_psm_xml
-from repro.xmlio.psm_writer import psm_to_xml
+from repro.xmlio.psdf_parser import ParsedPSDF, parse_psdf_schema, parse_psdf_xml
+from repro.xmlio.psdf_writer import psdf_to_schema
+from repro.xmlio.psm_parser import ParsedPSM, parse_psm_schema, parse_psm_xml
+from repro.xmlio.psm_writer import psm_to_schema
 
 
 class SegBusEmulator:
@@ -45,17 +48,38 @@ class SegBusEmulator:
         retry_policy=None,
         watchdog=None,
     ) -> None:
-        self._parsed_psdf = parse_psdf_xml(psdf_xml)
-        self._parsed_psm = parse_psm_xml(psm_xml)
+        parsed_psdf = parse_psdf_xml(psdf_xml)
+        self._set_up(
+            parsed_psdf,
+            parse_psm_xml(psm_xml),
+            parsed_psdf.to_graph(),
+            config,
+            fault_plan,
+            retry_policy,
+            watchdog,
+        )
+
+    def _set_up(
+        self,
+        parsed_psdf: ParsedPSDF,
+        parsed_psm: ParsedPSM,
+        application: PSDFGraph,
+        config: Optional[EmulationConfig],
+        fault_plan,
+        retry_policy,
+        watchdog,
+    ) -> None:
+        self._parsed_psdf = parsed_psdf
+        self._parsed_psm = parsed_psm
         self.config = config or EmulationConfig()
         #: optional resilience knobs (see repro.faults / docs/ROBUSTNESS.md)
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         self.watchdog = watchdog
-        self.application: PSDFGraph = self._parsed_psdf.to_graph()
-        self.spec = PlatformSpec.from_parsed_psm(self._parsed_psm)
+        self.application = application
+        self.spec = PlatformSpec.from_parsed_psm(parsed_psm)
         self.communication_matrix: CommunicationMatrix = build_communication_matrix(
-            self.application
+            application
         )
         # per-engine caches: both engines are observationally identical,
         # but callers comparing them need each engine's own simulation
@@ -96,51 +120,38 @@ class SegBusEmulator:
         retry_policy=None,
         watchdog=None,
     ) -> "SegBusEmulator":
-        """Build from model objects, still routing through the XML schemes.
+        """Build from model objects, routed through their scheme documents.
+
+        :func:`~repro.xmlio.psdf_writer.psdf_to_schema` and
+        :func:`~repro.xmlio.psm_writer.psm_to_schema` build the documents
+        that :func:`~repro.xmlio.psdf_writer.psdf_to_xml` and
+        :func:`~repro.xmlio.psm_writer.psm_to_xml` would serialize, and the
+        parsers behind :func:`~repro.xmlio.psdf_parser.parse_psdf_xml` and
+        :func:`~repro.xmlio.psm_parser.parse_psm_xml` read them, so the
+        emulation sees exactly what the scheme files would carry.
 
         The schemes store the per-package tick count ``C`` at the platform's
         package size, flattening the two-part cost model.  With
-        ``preserve_costs=True`` (default) the original
-        :class:`~repro.psdf.flow.FlowCost` objects are re-attached after the
-        round trip so package-size sweeps re-evaluate ``C(s)`` faithfully;
-        pass ``False`` to emulate exactly what the schemes carry.
+        ``preserve_costs=True`` (default) the emulated graph carries the
+        original :class:`~repro.psdf.flow.FlowCost` objects on the parsed
+        flows, so package-size sweeps re-evaluate ``C(s)`` faithfully; pass
+        ``False`` to emulate exactly what the schemes carry.
         """
-        emulator = cls(
-            psdf_to_xml(application, platform.package_size),
-            psm_to_xml(platform),
-            config=config,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            watchdog=watchdog,
-        )
+        # both writers run before either parser, as when the text was
+        # written first, so a model refused twice reports the same error
+        psdf_doc = psdf_to_schema(application, platform.package_size)
+        psm_doc = psm_to_schema(platform)
+        parsed_psdf = parse_psdf_schema(psdf_doc)
+        parsed_psm = parse_psm_schema(psm_doc)
         if preserve_costs:
-            emulator._reattach_costs(application)
-        return emulator
-
-    def _reattach_costs(self, original: PSDFGraph) -> None:
-        by_key = {
-            (f.source, f.target, f.order): f.cost for f in original.flows
-        }
-        flows = []
-        for flow in self.application.flows:
-            cost = by_key.get((flow.source, flow.target, flow.order))
-            if cost is None:  # pragma: no cover - roundtrip guarantees presence
-                raise EmulationError(
-                    f"flow {flow.source}->{flow.target} missing from original model"
-                )
-            flows.append(
-                PacketFlow(
-                    source=flow.source,
-                    target=flow.target,
-                    data_items=flow.data_items,
-                    order=flow.order,
-                    cost=cost,
-                )
-            )
-        self.application = PSDFGraph(
-            self.application.processes, flows, name=self.application.name
+            graph = _with_costs_of(parsed_psdf, application)
+        else:
+            graph = parsed_psdf.to_graph()
+        emulator = cls.__new__(cls)
+        emulator._set_up(
+            parsed_psdf, parsed_psm, graph, config, fault_plan, retry_policy, watchdog
         )
-        self.communication_matrix = build_communication_matrix(self.application)
+        return emulator
 
     # -- static analysis ---------------------------------------------------------
 
@@ -206,6 +217,25 @@ class SegBusEmulator:
         name = resolve_engine(None)
         self.run(engine=name)
         return self._simulations[name]
+
+
+def _with_costs_of(parsed: ParsedPSDF, original: PSDFGraph) -> PSDFGraph:
+    """The parsed graph, each flow carrying ``original``'s cost model."""
+    costs = {(f.source, f.target, f.order): f.cost for f in original.flows}
+    return PSDFGraph(
+        parsed.processes,
+        [
+            PacketFlow(
+                source=flow.source,
+                target=flow.target,
+                data_items=flow.data_items,
+                order=flow.order,
+                cost=costs[(flow.source, flow.target, flow.order)],
+            )
+            for flow in parsed.flows
+        ],
+        name=parsed.name,
+    )
 
 
 def emulate(

@@ -7,15 +7,17 @@ instead of one opaque parse error.  Referential integrity (undefined type
 references, orphaned complex types, duplicate ids) is delegated to
 :func:`repro.xmlio.schema_check.check_scheme` and its kind-tagged problem
 entries; the PSM-dialect shape rules (segments without an arbiter or without
-processes) are implemented here directly.
+processes) are implemented here directly, telling a segment's children apart
+exactly as the PSM parser does (:class:`~repro.xmlio.psm_parser.SegmentChildRoles`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.lint.context import KIND_PSM, LintContext, SchemeFile
 from repro.lint.core import Finding, RuleRegistry, Severity
+from repro.xmlio.psm_parser import ROLE_ARBITER, ROLE_FU, SegmentChildRoles
 from repro.xmlio.schema_check import (
     KIND_DUPLICATE_CHILD,
     KIND_DUPLICATE_TYPE,
@@ -26,8 +28,6 @@ from repro.xmlio.schema_check import (
 from repro.xmlio.schema_writer import ComplexType
 
 CATEGORY = "scheme"
-
-PARAM_TYPE = "Parameter"
 
 #: schema_check problem kind → lint rule id
 _PROBLEM_KIND_TO_RULE = {
@@ -40,11 +40,14 @@ _PROBLEM_KIND_TO_RULE = {
 
 def _segment_index(type_name: str) -> Optional[int]:
     digits = type_name[len("Segment"):]
-    return int(digits) if digits.isdigit() else None
+    return int(digits) if digits.isdecimal() else None
 
 
-def _psm_segment_types(scheme: SchemeFile) -> Iterable[ComplexType]:
-    """The Segment complex types referenced from a PSM scheme's root."""
+def _psm_segment_types(
+    scheme: SchemeFile,
+) -> Iterable[Tuple[ComplexType, SegmentChildRoles]]:
+    """The Segment complex types referenced from a PSM scheme's root, each
+    with the roles of its children."""
     doc = scheme.document
     if not doc.top_level:
         return
@@ -52,11 +55,12 @@ def _psm_segment_types(scheme: SchemeFile) -> Iterable[ComplexType]:
         root = doc.complex_type(doc.top_level[0].type)
     except Exception:
         return  # undefined root: SB402 already reports it
+    roles = SegmentChildRoles.of_root(root)
     for entry in root.children:
         if not entry.type.startswith("Segment"):
             continue
         try:
-            yield doc.complex_type(entry.type)
+            yield doc.complex_type(entry.type), roles
         except Exception:
             continue  # undefined segment type: SB402 territory
 
@@ -146,14 +150,15 @@ def register(registry: RuleRegistry) -> None:
         for scheme in ctx.documents:
             if scheme.kind != KIND_PSM:
                 continue
-            for seg_type in _psm_segment_types(scheme):
+            for seg_type, roles in _psm_segment_types(scheme):
                 if any(
-                    child.type.startswith("SA") for child in seg_type.children
+                    roles.role(child.type) == ROLE_ARBITER
+                    for child in seg_type.children
                 ):
                     continue
                 yield rule.finding(
                     f"segment type {seg_type.name!r} declares no Segment "
-                    "Arbiter (no child of an SA type)",
+                    "Arbiter (no child of type SA<i> for a declared segment i)",
                     element=seg_type.name,
                     segment=_segment_index(seg_type.name),
                     file=scheme.path,
@@ -178,11 +183,9 @@ def register(registry: RuleRegistry) -> None:
         for scheme in ctx.documents:
             if scheme.kind != KIND_PSM:
                 continue
-            for seg_type in _psm_segment_types(scheme):
+            for seg_type, roles in _psm_segment_types(scheme):
                 hosts_process = any(
-                    child.type != PARAM_TYPE
-                    and not child.type.startswith("SA")
-                    and not child.type.startswith("BU")
+                    roles.role(child.type) == ROLE_FU
                     for child in seg_type.children
                 )
                 if not hosts_process:

@@ -34,9 +34,9 @@ def refine_placement(
         improved = False
         # single moves
         for process in range(n):
-            if counts[segs[process] - 1] <= 1:
-                continue  # would empty its segment
             for seg in range(1, segment_count + 1):
+                if counts[segs[process] - 1] <= 1:
+                    break  # a move would empty its (possibly new) segment
                 if seg == segs[process]:
                     continue
                 if scorer.move_delta(process, seg) < 0:

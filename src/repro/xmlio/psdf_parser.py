@@ -6,6 +6,10 @@ each process while processing one package"* (section 3.5).  The parser
 returns a :class:`ParsedPSDF` exposing exactly those four pieces plus a
 reconstruction of the :class:`~repro.psdf.graph.PSDFGraph` (with constant
 per-package costs, since the scheme stores ``C`` at a fixed package size).
+
+:func:`parse_psdf_schema` reads a scheme document; :func:`parse_psdf_xml`
+is the same parse behind :meth:`SchemaDocument.from_xml
+<repro.xmlio.schema_writer.SchemaDocument.from_xml>`, for scheme text.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from repro.psdf.flow import PacketFlow
 from repro.psdf.graph import PSDFGraph
 from repro.psdf.process import Process, ProcessKind
 from repro.xmlio.psdf_writer import TRANSFER_TYPE
+from repro.xmlio.schema_check import assert_scheme_valid
 from repro.xmlio.schema_writer import SchemaDocument
 
 _STEREOTYPE_TO_KIND = {kind.value: kind for kind in ProcessKind}
@@ -46,12 +51,20 @@ class ParsedPSDF:
 def parse_psdf_xml(text: str) -> ParsedPSDF:
     """Parse the XML scheme produced by :func:`repro.xmlio.psdf_writer.psdf_to_xml`.
 
-    Raises :class:`~repro.errors.XMLFormatError` on malformed schemes
-    (missing header, dangling flow targets, unparseable element names).
+    Raises :class:`~repro.errors.XMLFormatError` on text that is not a
+    well-formed scheme and on every scheme :func:`parse_psdf_schema` refuses.
     """
-    doc = SchemaDocument.from_xml(text)
-    from repro.xmlio.schema_check import assert_scheme_valid
+    return parse_psdf_schema(SchemaDocument.from_xml(text))
 
+
+def parse_psdf_schema(doc: SchemaDocument) -> ParsedPSDF:
+    """Parse a PSDF scheme document, such as :func:`psdf_to_schema
+    <repro.xmlio.psdf_writer.psdf_to_schema>` builds.
+
+    Raises :class:`~repro.errors.XMLFormatError` on malformed schemes
+    (integrity problems, missing header, dangling flow targets,
+    unparseable element names).
+    """
     assert_scheme_valid(doc)
     if not doc.top_level:
         raise XMLFormatError("PSDF scheme has no top-level element")

@@ -19,7 +19,7 @@ recover the full model without out-of-band information.
 from __future__ import annotations
 
 from repro.psdf.graph import PSDFGraph
-from repro.xmlio.schema_writer import ComplexType, SchemaDocument
+from repro.xmlio.schema_writer import ComplexType, SchemaDocument, check_xml_text
 
 #: ``type`` attribute of flow elements.
 TRANSFER_TYPE = "Transfer"
@@ -32,10 +32,12 @@ def psdf_to_schema(graph: PSDFGraph, package_size: int) -> SchemaDocument:
 
     The package size is needed because flow element names embed the
     per-package tick count ``C`` evaluated at the platform's package size
-    (the paper's emulator reads the same number).
+    (the paper's emulator reads the same number).  Raises
+    :class:`~repro.errors.XMLFormatError` for a graph name that XML 1.0
+    cannot carry (process names are letters and digits by construction).
     """
     doc = SchemaDocument()
-    header = ComplexType(name=graph.name)
+    header = ComplexType(name=check_xml_text(graph.name, "PSDF graph name"))
     for proc in graph:
         header.add(proc.name, proc.stereotype)
     doc.add_complex_type(header)

@@ -7,19 +7,69 @@ dialect, the clock frequencies, package size, arbitration policies and BU
 FIFO depths that the writer embedded as ``<name>_<value>`` parameter
 entries.  The parse mirrors the paper's procedure: first locate the platform
 instance, count its segments and BUs, then walk each segment type to recover
-the placement.
+the placement (:class:`SegmentChildRoles` tells its arbiter, BU references
+and FUs apart).
+
+:func:`parse_psm_schema` reads a scheme document; :func:`parse_psm_xml` is
+the same parse behind :meth:`SchemaDocument.from_xml
+<repro.xmlio.schema_writer.SchemaDocument.from_xml>`, for scheme text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import XMLFormatError
 from repro.model.builder import PlatformBuilder
 from repro.model.elements import SegBusPlatform
 from repro.xmlio.psm_writer import PARAM_TYPE
+from repro.xmlio.schema_check import assert_scheme_valid
 from repro.xmlio.schema_writer import ComplexType, SchemaDocument
+
+#: roles of a segment type's children (:meth:`SegmentChildRoles.role`)
+ROLE_PARAMETER = "parameter"
+ROLE_ARBITER = "arbiter"
+ROLE_BU = "bu"
+ROLE_FU = "fu"
+
+
+@dataclass(frozen=True)
+class SegmentChildRoles:
+    """What each child of a PSM segment type is, by the platform root.
+
+    A child is a parameter entry if its type is ``Parameter``, the arbiter
+    only if its type is ``SA<i>`` for a segment ``i`` the root declares, a
+    BU reference only if its type is one of the root's BU types, and an
+    FU (a placed process) otherwise — so processes named ``SAmple`` or
+    ``BUffer`` are FUs.  The parser and the ``SB405``/``SB406`` lint rules
+    both decide through this class.
+    """
+
+    arbiter_types: FrozenSet[str]
+    bu_types: FrozenSet[str]
+
+    @classmethod
+    def of_root(cls, root: ComplexType) -> "SegmentChildRoles":
+        arbiters = set()
+        border_units = set()
+        for entry in root.children:
+            if entry.type.startswith("Segment"):
+                digits = entry.type[len("Segment"):]
+                if digits.isdecimal():
+                    arbiters.add(f"SA{int(digits)}")
+            elif entry.type.startswith("BU"):
+                border_units.add(entry.type)
+        return cls(frozenset(arbiters), frozenset(border_units))
+
+    def role(self, type_name: str) -> str:
+        if type_name == PARAM_TYPE:
+            return ROLE_PARAMETER
+        if type_name in self.arbiter_types:
+            return ROLE_ARBITER
+        if type_name in self.bu_types:
+            return ROLE_BU
+        return ROLE_FU
 
 
 @dataclass
@@ -75,9 +125,15 @@ def _split_param(name: str, owner: str) -> Tuple[str, str]:
 
 def parse_psm_xml(text: str) -> ParsedPSM:
     """Parse the XML scheme produced by :func:`repro.xmlio.psm_writer.psm_to_xml`."""
-    doc = SchemaDocument.from_xml(text)
-    from repro.xmlio.schema_check import assert_scheme_valid
+    return parse_psm_schema(SchemaDocument.from_xml(text))
 
+
+def parse_psm_schema(doc: SchemaDocument) -> ParsedPSM:
+    """Parse a PSM scheme document, such as :func:`psm_to_schema
+    <repro.xmlio.psm_writer.psm_to_schema>` builds.
+
+    Raises :class:`~repro.errors.XMLFormatError` on malformed schemes.
+    """
     assert_scheme_valid(doc)
     if not doc.top_level:
         raise XMLFormatError("PSM scheme has no top-level element")
@@ -122,22 +178,24 @@ def parse_psm_xml(text: str) -> ParsedPSM:
     sa_policies: Dict[int, str] = {}
     masters_of: Dict[str, Tuple[str, ...]] = {}
     slaves_of: Dict[str, Tuple[str, ...]] = {}
+    roles = SegmentChildRoles.of_root(root)
     for type_name in segment_types:
         index = _segment_index(type_name)
         seg_type = doc.complex_type(type_name)
         freq: Optional[float] = None
         for entry in seg_type.children:
-            if entry.type == PARAM_TYPE:
+            role = roles.role(entry.type)
+            if role == ROLE_PARAMETER:
                 key, value = _split_param(entry.name, type_name)
                 if key == "frequencyMHz":
                     freq = _float(value, f"{type_name} frequencyMHz")
-            elif entry.type.startswith("SA"):
+            elif role == ROLE_ARBITER:
                 sa_type = doc.complex_type(entry.type)
                 for sa_entry in sa_type.children:
                     key, value = _split_param(sa_entry.name, entry.type)
                     if key == "policy":
                         sa_policies[index] = value
-            elif entry.type.startswith("BU"):
+            elif role == ROLE_BU:
                 continue  # adjacency is recovered from the platform root
             else:
                 process = entry.type
@@ -195,14 +253,14 @@ def _fu_endpoints(fu_type: ComplexType) -> Tuple[Tuple[str, ...], Tuple[str, ...
 
 def _segment_index(type_name: str) -> int:
     digits = type_name[len("Segment"):]
-    if not digits.isdigit():
+    if not digits.isdecimal():
         raise XMLFormatError(f"cannot extract segment index from {type_name!r}")
     return int(digits)
 
 
 def _bu_pair(type_name: str) -> Tuple[int, int]:
     digits = type_name[len("BU"):]
-    if len(digits) < 2 or not digits.isdigit():
+    if len(digits) < 2 or not digits.isdecimal():
         raise XMLFormatError(f"cannot extract BU pair from {type_name!r}")
     # linear-topology BUs bridge adjacent segments; split so right = left + 1
     for cut in range(1, len(digits)):

@@ -30,7 +30,7 @@ inside the scheme.
 from __future__ import annotations
 
 from repro.model.elements import SegBusPlatform
-from repro.xmlio.schema_writer import ComplexType, SchemaDocument
+from repro.xmlio.schema_writer import ComplexType, SchemaDocument, check_xml_text
 
 PARAM_TYPE = "Parameter"
 PROCESS_REF_TYPE_PREFIX = ""
@@ -41,9 +41,13 @@ def _bu_type_name(left: int, right: int) -> str:
 
 
 def psm_to_schema(platform: SegBusPlatform) -> SchemaDocument:
-    """Build the scheme document for a platform model."""
+    """Build the scheme document for a platform model.
+
+    Raises :class:`~repro.errors.XMLFormatError` for a platform, process,
+    master or slave name that XML 1.0 cannot carry.
+    """
     doc = SchemaDocument()
-    root = ComplexType(name=platform.name)
+    root = ComplexType(name=check_xml_text(platform.name, "PSM platform name"))
     for segment in platform.segments:
         root.add(f"segment{segment.index}", f"Segment{segment.index}")
     root.add("ca", "CA")
@@ -68,6 +72,7 @@ def psm_to_schema(platform: SegBusPlatform) -> SchemaDocument:
             if bu.left == segment.index:
                 seg_type.add("buRight", _bu_type_name(bu.left, bu.right))
         for fu in segment.fus:
+            check_xml_text(fu.process, "process name")
             seg_type.add(fu.process.lower(), fu.process)
         seg_type.add("arbiter", f"SA{segment.index}")
         seg_type.add(
@@ -82,9 +87,9 @@ def psm_to_schema(platform: SegBusPlatform) -> SchemaDocument:
         for fu in segment.fus:
             fu_type = ComplexType(name=fu.process)
             for master in fu.masters:
-                fu_type.add(master.name, "Master")
+                fu_type.add(check_xml_text(master.name, "master name"), "Master")
             for slave in fu.slaves:
-                fu_type.add(slave.name, "Slave")
+                fu_type.add(check_xml_text(slave.name, "slave name"), "Slave")
             doc.add_complex_type(fu_type)
 
     for bu in platform.border_units:

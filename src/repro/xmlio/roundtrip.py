@@ -1,9 +1,11 @@
-"""Write-then-parse round trips with fidelity checks.
+"""Write-then-parse round trips of the scheme text, with fidelity checks.
 
-Used by integration tests and by the emulator facade when it is fed model
-objects instead of XML files: the facade *always* routes through the XML
-schemes (section 3.2's design flow), so any information the schemes cannot
-carry is caught here rather than silently diverging.
+The emulator facade routes model objects through the scheme documents
+without writing text (:meth:`SegBusEmulator.from_models
+<repro.emulator.emulator.SegBusEmulator.from_models>`); files and served
+requests arrive as text.  These helpers check that the text path loses
+nothing the models hold — the tests run them over random and paper
+models — so a scheme file describes the same system its models do.
 """
 
 from __future__ import annotations

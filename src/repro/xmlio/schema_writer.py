@@ -18,6 +18,7 @@ Serialization uses :mod:`xml.etree.ElementTree` with the conventional
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from typing import List
 from xml.etree import ElementTree as ET
@@ -26,6 +27,28 @@ from repro.errors import XMLFormatError
 
 XS_NS = "http://www.w3.org/2001/XMLSchema"
 _XS = f"{{{XS_NS}}}"
+
+#: a character outside XML 1.0's ``Char`` production: neither the raw
+#: character nor a character reference to it is well-formed XML
+_NON_XML_CHAR = re.compile(
+    r"[^\t\n\r\x20-\uD7FF\uE000-\uFFFD\U00010000-\U0010FFFF]"
+)
+
+
+def check_xml_text(value: str, field: str) -> str:
+    """Return ``value``, or raise if XML 1.0 text cannot carry it.
+
+    The M2T writers call this on every free-text model field they embed,
+    so a model they accept yields a document whose :meth:`SchemaDocument.to_xml`
+    text parses back to that same document.
+    """
+    match = _NON_XML_CHAR.search(value)
+    if match is not None:
+        raise XMLFormatError(
+            f"{field} {value!r} holds U+{ord(match.group()):04X}, which an "
+            "XML 1.0 scheme cannot carry"
+        )
+    return value
 
 
 @dataclass(frozen=True)

@@ -390,13 +390,14 @@ class TestCanonicalDigest:
         from repro.analysis.reliability import _ReliabilityJob
         from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
         from repro.emulator.config import EmulationConfig
+        from repro.emulator.kernel import PlatformSpec
         from repro.faults import RetryPolicy
 
         def job(**extra):
             return _ReliabilityJob(
                 label="x",
                 application=mp3_decoder_psdf(),
-                platform=paper_platform(2),
+                spec=PlatformSpec.from_platform(paper_platform(2)),
                 kind="package_corruption",
                 rate=0.01,
                 seed=1,

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.analysis.dse import explore_design_space
+from repro.analysis.reliability import reliability_sweep
 from repro.analysis.sweep import package_size_sweep, segment_count_sweep
 from repro.apps.mp3 import (
     PAPER_CA_FREQUENCY_MHZ,
@@ -107,6 +108,50 @@ class TestDSEPin:
         ]
         digest = hashlib.sha256(json.dumps(ranking).encode()).hexdigest()
         assert digest == self.CHECKSUM
+
+
+class TestFaultsPin:
+    """perfbench's fault curves are exactly as before on both engines and
+    through the worker pool: same baseline, same points, same injections."""
+
+    #: sha256 of ``json.dumps(curve.as_dict(), sort_keys=True)`` per plan
+    #: seed, the rule of ``perfbench/sweep_worker.py``'s ``curve_checksum``
+    CHECKSUMS = {
+        1: "6f1aa39afdc7015926268c7396750a85d32af30c4d136552db231a87010551d9",
+        7: "2c039b3a9b5098ccc622b87ea0c4eb6e72e688ad30703d35e23c277a72e505ab",
+    }
+    #: faults injected over the runs that reported (``sweep_worker.injected``)
+    INJECTED = {1: 18, 7: 10}
+
+    def sweep(self, mp3_graph, seed, engine, workers=1):
+        return reliability_sweep(
+            mp3_graph,
+            paper_platform(2, package_size=8),
+            rates=(0.0, 0.0001, 0.0002, 0.0005),
+            seeds=range(seed * 1000 + 1, seed * 1000 + 13),
+            workers=workers,
+            engine=engine,
+        )
+
+    def check(self, curve, seed):
+        digest = hashlib.sha256(
+            json.dumps(curve.as_dict(), sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.CHECKSUMS[seed]
+        injected = sum(
+            round(p.mean_injected * (p.completed + p.degraded))
+            for p in curve.points
+        )
+        assert injected == self.INJECTED[seed]
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("engine", ["stepped", "fast"])
+    def test_perfbench_curve_checksum(self, mp3_graph, engine, seed):
+        self.check(self.sweep(mp3_graph, seed, engine), seed)
+
+    def test_worker_pool_curve_checksum(self, mp3_graph):
+        # the simulated points' jobs are pickled to two worker processes
+        self.check(self.sweep(mp3_graph, 1, "fast", workers=2), 1)
 
 
 class TestEstimatorPrune:

@@ -63,6 +63,28 @@ class TestCostPreservation:
         assert flow.ticks_per_package(36) == 100  # constant after roundtrip
 
 
+class TestProcessNames:
+    def test_processes_named_like_arbiters_or_bus_emulate(self):
+        from repro.model.mapping import Allocation, map_application
+
+        graph = PSDFGraph.from_edges(
+            [("P0", "SAmple", 72, 1, 50), ("SAmple", "BUffer", 72, 2, 50)]
+        )
+        psm = map_application(
+            graph,
+            Allocation.from_groups([["P0", "BUffer"], ["SAmple"]]),
+            segment_frequencies_mhz=[100, 100],
+            ca_frequency_mhz=120,
+            package_size=36,
+        )
+        emulator = SegBusEmulator.from_models(graph, psm.platform)
+        assert emulator.spec.placement == {"P0": 1, "BUffer": 1, "SAmple": 2}
+        report = emulator.run(strict=True)
+        assert report.digest() == SegBusEmulator(
+            psdf_to_xml(graph, 36), psm_to_xml(psm.platform)
+        ).run().digest()
+
+
 class TestOneShot:
     def test_emulate_runs(self, mp3_graph, platform_1seg):
         report = emulate(mp3_graph, platform_1seg)

@@ -36,6 +36,24 @@ def lint_document(document, kind, registry, path="scheme.xml"):
     return run_rules(ctx, registry=registry)
 
 
+def sample_buffer_models():
+    """A PSM placing the process ``SAmple`` alone on segment 2."""
+    from repro.model.mapping import Allocation, map_application
+    from repro.psdf.graph import PSDFGraph
+
+    graph = PSDFGraph.from_edges(
+        [("P0", "SAmple", 72, 1, 50), ("SAmple", "BUffer", 72, 2, 50)]
+    )
+    psm = map_application(
+        graph,
+        Allocation.from_groups([["P0", "BUffer"], ["SAmple"]]),
+        segment_frequencies_mhz=[100, 100],
+        ca_frequency_mhz=120,
+        package_size=36,
+    )
+    return graph, psm.platform
+
+
 class TestSchemeIntegrityRules:
     def test_clean_generated_psm_has_no_scheme_findings(self, registry):
         report = lint_document(psm_document(), KIND_PSM, registry)
@@ -90,6 +108,35 @@ class TestSchemeIntegrityRules:
         ]
         report = lint_document(doc, KIND_PSM, registry)
         assert "SB406" in report.rule_ids()
+
+    def test_processes_named_like_arbiters_or_bus_lint_cleanly(
+        self, registry, tmp_path
+    ):
+        from repro.lint import lint_paths
+
+        graph, platform = sample_buffer_models()
+        psdf = tmp_path / "psdf.xml"
+        psm = tmp_path / "psm.xml"
+        psdf.write_text(psdf_to_xml(graph, platform.package_size), encoding="utf-8")
+        psm.write_text(psm_to_xml(platform), encoding="utf-8")
+        report = lint_paths([str(psdf), str(psm)], registry=registry)
+        assert not report.errors
+        assert not {"SB104", "SB111", "SB405", "SB406"} & set(report.rule_ids())
+
+    def test_sb405_fires_when_only_a_process_named_like_an_arbiter_remains(
+        self, registry
+    ):
+        _, platform = sample_buffer_models()
+        doc = SchemaDocument.from_xml(psm_to_xml(platform))
+        segment = doc.complex_type("Segment2")
+        segment.children = [c for c in segment.children if c.type != "SA2"]
+        assert [c.type for c in segment.children if c.type != "Parameter"] == [
+            "BU12",
+            "SAmple",
+        ]
+        report = lint_document(doc, KIND_PSM, registry)
+        assert "SB405" in report.rule_ids()
+        assert "SB406" not in report.rule_ids()
 
     def test_psm_shape_rules_skip_non_psm_documents(self, registry, mp3_graph):
         doc = SchemaDocument.from_xml(psdf_to_xml(mp3_graph, PAPER_PACKAGE_SIZE))

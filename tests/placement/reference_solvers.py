@@ -68,9 +68,9 @@ def reference_refine(
         # single moves
         for name in names:
             home = current[name]
-            if sum(1 for s in current.values() if s == home) <= 1:
-                continue  # would empty its segment
             for seg in range(1, segment_count + 1):
+                if sum(1 for s in current.values() if s == home) <= 1:
+                    break  # a move would empty its (possibly new) segment
                 if seg == home:
                     continue
                 current[name] = seg

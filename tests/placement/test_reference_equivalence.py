@@ -127,16 +127,16 @@ def test_objective_matches_reference(case):
     )
 
 
-def test_refinement_moves_on_from_a_segment_it_just_filled():
-    # "p" leaves a shared segment 1 for the empty segment 2, then goes on
-    # to its partner on 3 and empties 2 again: the scan checks only the
-    # segment a process starts the scan on, and so must the deltas
+def test_refinement_never_empties_a_segment_it_just_filled():
+    # "p" leaves a shared segment 1 for the empty segment 2; going on to
+    # its partner on 3 would empty 2 again, so the count of the segment a
+    # process is on is checked before every move, not once per scan
     items = np.zeros((3, 3), dtype=np.int64)
     items[0, 1] = 1000
     matrix = CommunicationMatrix(["p", "q", "r"], items)
     start = {"p": 1, "q": 3, "r": 1}
     got = refine_placement(matrix, start, 3)
-    assert got == {"p": 3, "q": 3, "r": 1}
+    assert set(got.values()) == {1, 2, 3}
     same(got, reference_refine(matrix, start, 3))
 
 

@@ -117,6 +117,37 @@ class TestParser:
         with pytest.raises(XMLFormatError):
             parse_psm_xml(text)
 
+    def test_processes_named_like_arbiters_or_bus_are_placed(self):
+        # only SA<i> of a declared segment is an arbiter and only a root BU
+        # type a BU reference: SAmple and BUffer are processes
+        p = (
+            PlatformBuilder()
+            .segment(frequency_mhz=91)
+            .segment(frequency_mhz=98)
+            .central_arbiter(frequency_mhz=111)
+            .auto_border_units()
+            .place("P0", 1)
+            .place("BUffer", 1)
+            .place("SAmple", 2)
+            .arbitration_policy(2, "fixed-priority")
+            .build()
+        )
+        p.fu_of_process("SAmple").add_master()
+        parsed = parse_psm_xml(psm_to_xml(p))
+        assert parsed.placement == {"P0": 1, "BUffer": 1, "SAmple": 2}
+        assert parsed.sa_policies == {1: "round-robin", 2: "fixed-priority"}
+        assert len(parsed.masters_of["SAmple"]) == 1
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("Segment2", "Segment" + chr(0xB2)), ("BU12", "BU" + chr(0xB9) + chr(0xB2))],
+    )
+    def test_non_decimal_digits_are_a_format_error(self, platform, old, new):
+        # superscript digits pass str.isdigit() but not int()
+        text = psm_to_xml(platform).replace(old, new)
+        with pytest.raises(XMLFormatError, match="cannot extract"):
+            parse_psm_xml(text)
+
     def test_paper_platform_roundtrips(self, platform_3seg):
         parsed = parse_psm_xml(psm_to_xml(platform_3seg))
         assert parsed.segment_count == 3
