@@ -70,7 +70,6 @@ from repro.apps.mp3 import (
     paper_segment_frequencies_mhz,
 )
 from repro.apps.workloads import named_workload, workload_catalog
-from repro.emulator.emulator import SegBusEmulator
 from repro.reference.accuracy import compare_estimate_to_reference
 from repro.xmlio.codegen import CodeEngineeringSet, generate_models
 
@@ -108,12 +107,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workload_or_files(args: argparse.Namespace, command: str):
-    """Resolve the scheme-files-vs-``--workload`` choice of a subcommand.
+def _scheme_texts(args: argparse.Namespace, command: str):
+    """The scheme-files-vs-``--workload`` choice of a subcommand.
 
-    Returns the named :class:`~repro.apps.workloads.WorkloadModel`, or
-    ``None`` for the scheme-file path; raises ``SystemExit``-style by
-    printing and returning an error marker string on misuse.
+    Returns the ``(psdf_xml, psm_xml)`` texts of the scheme files,
+    ``(None, None)`` with ``--workload``, or ``None`` after printing a
+    one-line hint on misuse.
     """
     if args.workload is not None:
         if args.psdf is not None or args.psm is not None:
@@ -122,43 +121,30 @@ def _workload_or_files(args: argparse.Namespace, command: str):
                 "--workload, not both",
                 file=sys.stderr,
             )
-            return 2
-        from repro.apps.workloads import workload_model
-
-        return workload_model(args.workload)
+            return None
+        return None, None
     if args.psdf is None or args.psm is None:
         print(
             f"{command}: need a PSDF and a PSM scheme file "
             "(or --workload NAME)",
             file=sys.stderr,
         )
-        return 2
-    return None
+        return None
+    return (
+        args.psdf.read_text(encoding="utf-8"),
+        args.psm.read_text(encoding="utf-8"),
+    )
 
 
 def _cmd_emulate(args: argparse.Namespace) -> int:
-    resolved = _workload_or_files(args, "emulate")
-    if resolved == 2:
-        return 2
-    if resolved is not None and resolved.is_multimode:
-        from repro.emulator.multimode import run_multimode
+    from repro.serve.jobs import emulate_model
 
-        composed = run_multimode(
-            resolved.application, resolved.platform, engine=args.engine
-        )
-        print(composed.format_listing())
-        print(
-            f"\nTotal execution time: {composed.execution_time_us:.2f} us "
-            f"({composed.total_events} events)"
-        )
-        return 0
-    if resolved is not None:
-        emulator = SegBusEmulator.from_models(
-            resolved.application, resolved.platform
-        )
-    else:
-        emulator = SegBusEmulator.from_files(args.psdf, args.psm)
-    report = emulator.run(strict=args.strict, engine=args.engine)
+    texts = _scheme_texts(args, "emulate")
+    if texts is None:
+        return 2
+    report = emulate_model(
+        *texts, workload=args.workload, strict=args.strict, engine=args.engine
+    )
     print(report.format_listing())
     print(
         f"\nTotal execution time: {report.execution_time_us:.2f} us "
@@ -273,12 +259,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_estimate_multimode(args: argparse.Namespace, resolved) -> int:
-    from repro.analysis.stochastic import stochastic_estimate_multimode
-    from repro.emulator.kernel import PlatformSpec
-
-    spec = PlatformSpec.from_platform(resolved.platform)
-    estimate = stochastic_estimate_multimode(resolved.application, spec)
+def _print_multimode_estimate(estimate) -> None:
     analytic = estimate.analytic
     print(
         f"analytic lower bound:  {analytic.execution_time_us:.2f} us "
@@ -291,43 +272,9 @@ def _cmd_estimate_multimode(args: argparse.Namespace, resolved) -> int:
     for index, (mode, count) in enumerate(analytic.phases):
         per_iter = estimate.per_mode[mode].execution_time_us
         print(f"{index:>3} {mode:<24} {count:>5} {per_iter:>14.2f}")
-    if args.emulate:
-        from repro.emulator.multimode import run_multimode
-
-        composed = run_multimode(
-            resolved.application, spec, engine=args.engine
-        )
-        error = (
-            (estimate.execution_time_us - composed.execution_time_us)
-            / composed.execution_time_us
-            if composed.execution_time_us
-            else 0.0
-        )
-        print(
-            f"\nemulated TCT:          {composed.execution_time_us:.2f} us "
-            f"(estimate off by {error:+.2%})"
-        )
-    return 0
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    from repro.analysis.stochastic import stochastic_estimate
-    from repro.emulator.emulator import SegBusEmulator
-
-    resolved = _workload_or_files(args, "estimate")
-    if resolved == 2:
-        return 2
-    if resolved is not None and resolved.is_multimode:
-        return _cmd_estimate_multimode(args, resolved)
-    if resolved is not None:
-        emulator = SegBusEmulator.from_models(
-            resolved.application, resolved.platform
-        )
-    else:
-        emulator = SegBusEmulator.from_files(args.psdf, args.psm)
-    estimate = stochastic_estimate(
-        emulator.application, emulator.spec, emulator.config
-    )
+def _print_estimate(estimate) -> None:
     print(
         f"analytic lower bound:  {estimate.analytic_us:.2f} us\n"
         f"predicted contention:  {estimate.contention_us:.2f} us\n"
@@ -344,8 +291,22 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             f"{model.name:<10} {model.arrivals:>7} {model.utilization:>6.3f} "
             f"{model.mean_wait_fs / 1e9:>9.4f} {model.mean_queue_depth:>7.4f}"
         )
+
+
+def _cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.analysis.stochastic import MultiModeStochastic
+    from repro.serve.jobs import emulate_model, estimate_model
+
+    texts = _scheme_texts(args, "estimate")
+    if texts is None:
+        return 2
+    estimate = estimate_model(*texts, workload=args.workload)
+    if isinstance(estimate, MultiModeStochastic):
+        _print_multimode_estimate(estimate)
+    else:
+        _print_estimate(estimate)
     if args.emulate:
-        report = emulator.run(engine=args.engine)
+        report = emulate_model(*texts, workload=args.workload, engine=args.engine)
         error = (
             (estimate.execution_time_us - report.execution_time_us)
             / report.execution_time_us

@@ -17,7 +17,7 @@ from typing import List
 
 from repro.errors import SegBusError
 
-_IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 #: VHDL-93 reserved words that may not be used as identifiers.
 RESERVED = frozenset(
@@ -35,7 +35,7 @@ RESERVED = frozenset(
 
 def check_identifier(name: str) -> str:
     """Validate a VHDL identifier; returns it for chaining."""
-    if not _IDENT_RE.match(name):
+    if not _IDENT_RE.fullmatch(name):
         raise SegBusError(f"invalid VHDL identifier {name!r}")
     if name.lower() in RESERVED:
         raise SegBusError(f"{name!r} is a reserved VHDL word")

@@ -6,8 +6,10 @@ the PSDF and PSM scheme documents and the same parsers that read scheme
 files read them, so nothing the schemes cannot carry can influence the
 emulation.  Only the XML text is skipped for model objects; the equivalence
 suite (``tests/xmlio/test_document_equivalence.py``) holds the text to the
-documents.  The facade then builds the communication matrix, instantiates
-the platform-element runtimes and runs the emulation.
+documents.  The facade then rebuilds the platform model from the parsed PSM
+(its elements check every platform value), instantiates the
+platform-element runtimes and runs the emulation; the communication matrix
+is built when first read.
 
 >>> from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
 >>> emulator = SegBusEmulator.from_models(mp3_decoder_psdf(), paper_platform())
@@ -18,6 +20,7 @@ the platform-element runtimes and runs the emulation.
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -70,22 +73,27 @@ class SegBusEmulator:
         watchdog,
     ) -> None:
         self._parsed_psdf = parsed_psdf
-        self._parsed_psm = parsed_psm
         self.config = config or EmulationConfig()
         #: optional resilience knobs (see repro.faults / docs/ROBUSTNESS.md)
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         self.watchdog = watchdog
         self.application = application
-        self.spec = PlatformSpec.from_parsed_psm(parsed_psm)
-        self.communication_matrix: CommunicationMatrix = build_communication_matrix(
-            application
-        )
+        #: the platform model the PSM scheme describes; building it is where
+        #: every platform value (clocks, policies, FIFO depths) is checked
+        self.platform: SegBusPlatform = parsed_psm.to_platform()
+        self.spec = PlatformSpec.from_platform(self.platform)
         # per-engine caches: both engines are observationally identical,
         # but callers comparing them need each engine's own simulation
         self._simulations: dict = {}
         self._reports: dict = {}
         self._linted = False
+
+    @cached_property
+    def communication_matrix(self) -> CommunicationMatrix:
+        """The application's communication matrix (section 3.5), built on
+        first read: the simulation itself does not need it."""
+        return build_communication_matrix(self.application)
 
     # -- constructors ------------------------------------------------------------
 
@@ -115,7 +123,6 @@ class SegBusEmulator:
         application: PSDFGraph,
         platform: SegBusPlatform,
         config: Optional[EmulationConfig] = None,
-        preserve_costs: bool = True,
         fault_plan=None,
         retry_policy=None,
         watchdog=None,
@@ -128,14 +135,10 @@ class SegBusEmulator:
         :func:`~repro.xmlio.psm_writer.psm_to_xml` would serialize, and the
         parsers behind :func:`~repro.xmlio.psdf_parser.parse_psdf_xml` and
         :func:`~repro.xmlio.psm_parser.parse_psm_xml` read them, so the
-        emulation sees exactly what the scheme files would carry.
-
-        The schemes store the per-package tick count ``C`` at the platform's
-        package size, flattening the two-part cost model.  With
-        ``preserve_costs=True`` (default) the emulated graph carries the
-        original :class:`~repro.psdf.flow.FlowCost` objects on the parsed
-        flows, so package-size sweeps re-evaluate ``C(s)`` faithfully; pass
-        ``False`` to emulate exactly what the schemes carry.
+        emulation sees exactly what the scheme files would carry — except
+        that the parsed flows keep the original
+        :class:`~repro.psdf.flow.FlowCost` objects, which the schemes flatten
+        to ``C`` at the platform's package size.
         """
         # both writers run before either parser, as when the text was
         # written first, so a model refused twice reports the same error
@@ -143,10 +146,7 @@ class SegBusEmulator:
         psm_doc = psm_to_schema(platform)
         parsed_psdf = parse_psdf_schema(psdf_doc)
         parsed_psm = parse_psm_schema(psm_doc)
-        if preserve_costs:
-            graph = _with_costs_of(parsed_psdf, application)
-        else:
-            graph = parsed_psdf.to_graph()
+        graph = _with_costs_of(parsed_psdf, application)
         emulator = cls.__new__(cls)
         emulator._set_up(
             parsed_psdf, parsed_psm, graph, config, fault_plan, retry_policy, watchdog
@@ -159,19 +159,14 @@ class SegBusEmulator:
         """Run the ``segbus lint`` rule catalogue over this session's inputs.
 
         Returns the :class:`repro.lint.LintReport` covering the application,
-        the platform (when the parsed PSM can be rebuilt into one) and the
-        fault plan.  Never raises — :meth:`run` with ``strict=True`` is the
-        enforcing entry point.
+        the platform and the fault plan.  Never raises — :meth:`run` with
+        ``strict=True`` is the enforcing entry point.
         """
         from repro.lint import lint_models
 
-        try:
-            platform = self._parsed_psm.to_platform()
-        except Exception:
-            platform = None  # lint still covers the application + fault plan
         return lint_models(
             application=self._parsed_psdf,
-            platform=platform,
+            platform=self.platform,
             fault_plan=self.fault_plan,
         )
 

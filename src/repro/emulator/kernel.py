@@ -69,8 +69,10 @@ from repro.units import Frequency
 class PlatformSpec:
     """The platform parameters the kernel needs (a slimmed-down PSM).
 
-    Usually produced from a parsed PSM scheme
-    (:meth:`from_parsed_psm`) or a platform model (:meth:`from_platform`).
+    Usually produced from a platform model (:meth:`from_platform`); a
+    parsed PSM scheme gets there through
+    :meth:`~repro.xmlio.psm_parser.ParsedPSM.to_platform`, so the model
+    elements check every platform value the scheme carries.
     """
 
     package_size: int
@@ -99,18 +101,6 @@ class PlatformSpec:
     @property
     def segment_count(self) -> int:
         return len(self.segment_frequencies_mhz)
-
-    @classmethod
-    def from_parsed_psm(cls, parsed) -> "PlatformSpec":
-        """Build from :class:`repro.xmlio.psm_parser.ParsedPSM`."""
-        return cls(
-            package_size=parsed.package_size,
-            segment_frequencies_mhz=dict(parsed.segment_frequencies_mhz),
-            ca_frequency_mhz=parsed.ca_frequency_mhz,
-            placement=dict(parsed.placement),
-            bu_depths=dict(parsed.bu_depths),
-            sa_policies=dict(parsed.sa_policies),
-        )
 
     @classmethod
     def from_platform(cls, platform) -> "PlatformSpec":

@@ -13,6 +13,8 @@ concrete subclasses preserve the failing subsystem:
 * :class:`EmulationError` -- runtime failures of the discrete-event emulator
   (deadlock, unroutable transfer, exhausted event budget).
 * :class:`PlacementError` -- infeasible allocation problems.
+* :class:`FrequencyError` -- a clock frequency without a whole
+  femtosecond period (:mod:`repro.units`); also a :class:`ValueError`.
 * :class:`ServeError` -- simulation-service failures (:mod:`repro.serve`);
   its subclasses :class:`JobValidationError` and :class:`AdmissionError`
   map to the 400 and 429 HTTP statuses of ``segbus serve``.
@@ -193,6 +195,11 @@ class RoutingError(EmulationError):
 
 class PlacementError(SegBusError):
     """The placement problem is infeasible or the solver misbehaved."""
+
+
+class FrequencyError(SegBusError, ValueError):
+    """A clock frequency without a whole period of at least 1 fs (zero,
+    negative, NaN, infinite, or too small or large for the time base)."""
 
 
 class ServeError(SegBusError):

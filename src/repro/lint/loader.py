@@ -3,10 +3,10 @@
 ``segbus lint`` takes any mix of PSDF, PSM and fault-plan schemes.  The
 loader classifies each file by *content* (not by file name), keeps the raw
 :class:`~repro.xmlio.schema_writer.SchemaDocument` for the ``SB4xx`` rules,
-and then attempts the model parses — each one guarded, so a scheme too
-broken for :mod:`repro.xmlio`'s parsers still reaches the document-level
-rules and produces precise findings alongside an ``SB401`` record of the
-failed parse.
+and then attempts the model parses on that same document — each one
+guarded, so a scheme too broken for :mod:`repro.xmlio`'s parsers still
+reaches the document-level rules and produces precise findings alongside
+an ``SB401`` record of the failed parse.
 """
 
 from __future__ import annotations
@@ -22,9 +22,13 @@ from repro.lint.context import (
     SchemeFile,
 )
 from repro.lint.core import Finding, RuleRegistry
-from repro.xmlio.faults_xml import PLAN_TYPE, RECORD_TYPE_PREFIX, parse_fault_plan_xml
-from repro.xmlio.psdf_parser import parse_psdf_xml
-from repro.xmlio.psm_parser import parse_psm_xml
+from repro.xmlio.faults_xml import (
+    PLAN_TYPE,
+    RECORD_TYPE_PREFIX,
+    parse_fault_plan_schema,
+)
+from repro.xmlio.psdf_parser import parse_psdf_schema
+from repro.xmlio.psm_parser import parse_psm_schema
 from repro.xmlio.schema_writer import SchemaDocument
 
 #: PSDF process stereotypes (duplicated from psdf_parser to stay cheap)
@@ -108,14 +112,14 @@ def load_paths(
         model_error: Optional[Exception] = None
         try:
             if kind == KIND_PSDF and application is None:
-                application = parse_psdf_xml(text)
+                application = parse_psdf_schema(doc)
                 source_files.setdefault(KIND_PSDF, str(path))
             elif kind == KIND_PSM and platform is None:
-                parsed = parse_psm_xml(text)
+                parsed = parse_psm_schema(doc)
                 source_files.setdefault(KIND_PSM, str(path))
                 platform = parsed.to_platform()
             elif kind == KIND_FAULT_PLAN and fault_plan is None:
-                fault_plan = parse_fault_plan_xml(text)
+                fault_plan = parse_fault_plan_schema(doc)
                 source_files.setdefault(KIND_FAULT_PLAN, str(path))
         except Exception as exc:
             model_error = exc

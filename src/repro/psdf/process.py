@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.errors import PSDFError
 
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
 class ProcessKind(enum.Enum):
@@ -42,7 +42,7 @@ class Process:
     description: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
+        if not _NAME_RE.fullmatch(self.name):
             raise PSDFError(
                 f"invalid process name {self.name!r}: must start with a letter "
                 "and contain only letters and digits (names are embedded in "

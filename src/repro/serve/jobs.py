@@ -12,6 +12,9 @@ equivalence suite and the CLI all share one code path:
   (scheme texts, workload name, engine, flags) *and* the versions of
   the rule catalogue and the estimator — see :func:`cache_key` for
   exactly which jobs carry which version.
+* :func:`emulate_model` and :func:`estimate_model` load a model from
+  inline scheme texts or a workload name, pick the single- or multi-mode
+  road and run it; ``segbus emulate``/``segbus estimate`` call them too.
 * :func:`execute_job` loads the job once — its only deep check, worded
   by :func:`refusal_message` when it refuses — and produces the
   response body as a plain dict whose canonical JSON encoding is
@@ -37,10 +40,19 @@ from repro.analysis.stochastic import (
     ESTIMATOR_VERSION,
     MultiModeStochastic,
     StochasticEstimate,
+    stochastic_estimate,
+    stochastic_estimate_multimode,
 )
+from repro.emulator.emulator import SegBusEmulator
 from repro.emulator.fastkernel import resolve_engine
-from repro.errors import JobValidationError, SegBusError
+from repro.emulator.kernel import PlatformSpec
+from repro.emulator.multimode import MultiModeReport, run_multimode
+from repro.errors import JobValidationError, LintError, SegBusError
+from repro.psdf.modes import MultiModeApplication
 from repro.units import fs_to_ps
+from repro.xmlio.faults_xml import parse_fault_plan_xml
+from repro.xmlio.psdf_parser import parse_psdf_xml
+from repro.xmlio.psm_parser import parse_psm_xml
 
 #: bump when the response body layout changes: old cached bytes are then
 #: unreachable (the key includes this constant)
@@ -264,20 +276,75 @@ def cache_key(job: ServeJob) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_models(job: ServeJob):
-    """(application, platform_or_spec, is_multimode) for a model-bearing job."""
-    if job.workload is not None:
+def _load_models(
+    psdf_xml: Optional[str], psm_xml: Optional[str], workload: Optional[str]
+):
+    """``(application, platform)`` of a workload scenario or inline schemes.
+
+    Only a scenario's application can be multi-mode.  A PSM scheme loads
+    into its platform model, whose elements check every value it carries.
+    """
+    if workload is not None:
         from repro.apps.workloads import workload_model
 
-        model = workload_model(job.workload)
-        return model.application, model.platform, model.is_multimode
-    from repro.emulator.kernel import PlatformSpec
-    from repro.xmlio.psdf_parser import parse_psdf_xml
-    from repro.xmlio.psm_parser import parse_psm_xml
+        model = workload_model(workload)
+        return model.application, model.platform
+    return (
+        parse_psdf_xml(psdf_xml or "").to_graph(),
+        parse_psm_xml(psm_xml or "").to_platform(),
+    )
 
-    application = parse_psdf_xml(job.psdf_xml or "").to_graph()
-    spec = PlatformSpec.from_parsed_psm(parse_psm_xml(job.psm_xml or ""))
-    return application, spec, False
+
+def emulate_model(
+    psdf_xml: Optional[str] = None,
+    psm_xml: Optional[str] = None,
+    *,
+    workload: Optional[str] = None,
+    fault_plan_xml: Optional[str] = None,
+    strict: bool = False,
+    engine: Optional[str] = None,
+):
+    """The report of inline schemes or a workload scenario: an
+    :class:`~repro.emulator.report.EmulationReport`, or a multi-mode
+    scenario's :class:`~repro.emulator.multimode.MultiModeReport`.
+
+    ``strict`` lints the inputs first on either road and raises
+    :class:`~repro.errors.LintError` on any error-severity finding.
+    """
+    if workload is None:
+        fault_plan = (
+            None if fault_plan_xml is None else parse_fault_plan_xml(fault_plan_xml)
+        )
+        # the emulator parses the inline texts itself: one load per scheme
+        emulator = SegBusEmulator(psdf_xml or "", psm_xml or "", fault_plan=fault_plan)
+    else:
+        application, platform = _load_models(None, None, workload)
+        if isinstance(application, MultiModeApplication):
+            if strict:
+                from repro.lint import lint_multimode
+
+                report = lint_multimode(application, platform=platform)
+                if report.errors:
+                    raise LintError([f.format() for f in report.errors], report=report)
+            return run_multimode(application, platform, engine=engine)
+        emulator = SegBusEmulator.from_models(application, platform)
+    return emulator.run(strict=strict, engine=engine)
+
+
+def estimate_model(
+    psdf_xml: Optional[str] = None,
+    psm_xml: Optional[str] = None,
+    *,
+    workload: Optional[str] = None,
+):
+    """The stochastic estimate of inline schemes or a workload scenario: a
+    :class:`~repro.analysis.stochastic.StochasticEstimate`, or a
+    :class:`~repro.analysis.stochastic.MultiModeStochastic`."""
+    application, platform = _load_models(psdf_xml, psm_xml, workload)
+    spec = PlatformSpec.from_platform(platform)
+    if isinstance(application, MultiModeApplication):
+        return stochastic_estimate_multimode(application, spec)
+    return stochastic_estimate(application, spec)
 
 
 def _queue_dict(model) -> Dict[str, object]:
@@ -328,71 +395,29 @@ def _multimode_estimate_dict(
 
 
 def _execute_emulate(job: ServeJob) -> Dict[str, object]:
-    from repro.emulator.emulator import SegBusEmulator
-
-    if job.workload is None:
-        from repro.xmlio.faults_xml import parse_fault_plan_xml
-
-        fault_plan = (
-            parse_fault_plan_xml(job.fault_plan_xml)
-            if job.fault_plan_xml is not None
-            else None
-        )
-        # the emulator parses the inline texts itself: one load per scheme
-        emulator = SegBusEmulator(
-            job.psdf_xml or "", job.psm_xml or "", fault_plan=fault_plan
-        )
-    else:
-        application, platform, is_multimode = _load_models(job)
-        if is_multimode:
-            from repro.emulator.multimode import run_multimode
-            from repro.errors import LintError
-
-            if job.strict:
-                from repro.lint import lint_multimode
-
-                report = lint_multimode(application, platform=platform)
-                if report.errors:
-                    raise LintError(
-                        [f.format() for f in report.errors], report=report
-                    )
-            mm = run_multimode(application, platform, engine=job.engine)
-            return {
-                "kind": "emulate",
-                "engine": job.engine,
-                "multimode": True,
-                "result": mm.to_dict(),
-                "digest": mm.digest(),
-            }
-        emulator = SegBusEmulator.from_models(application, platform)
-    report = emulator.run(strict=job.strict, engine=job.engine)
+    report = emulate_model(
+        job.psdf_xml,
+        job.psm_xml,
+        workload=job.workload,
+        fault_plan_xml=job.fault_plan_xml,
+        strict=job.strict,
+        engine=job.engine,
+    )
     return {
         "kind": "emulate",
         "engine": job.engine,
-        "multimode": False,
+        "multimode": isinstance(report, MultiModeReport),
         "result": report.to_dict(),
         "digest": report.digest(),
     }
 
 
 def _execute_estimate(job: ServeJob) -> Dict[str, object]:
-    from repro.analysis.stochastic import (
-        stochastic_estimate,
-        stochastic_estimate_multimode,
-    )
-    from repro.emulator.kernel import PlatformSpec
-
-    application, platform, is_multimode = _load_models(job)
-    if job.workload is not None:
-        spec = PlatformSpec.from_platform(platform)
-    else:
-        spec = platform  # inline path already built the spec
-    if is_multimode:
-        estimate = stochastic_estimate_multimode(application, spec)
+    estimate = estimate_model(job.psdf_xml, job.psm_xml, workload=job.workload)
+    if isinstance(estimate, MultiModeStochastic):
         result: Dict[str, object] = _multimode_estimate_dict(estimate)
         result["multimode"] = True
     else:
-        estimate = stochastic_estimate(application, spec)
         result = _estimate_dict(estimate)
         result["multimode"] = False
     body: Dict[str, object] = {
@@ -412,22 +437,18 @@ def _execute_lint(job: ServeJob) -> Dict[str, object]:
     )
 
     if job.workload is not None:
-        application, platform, is_multimode = _load_models(job)
-        if is_multimode:
+        application, platform = _load_models(None, None, job.workload)
+        if isinstance(application, MultiModeApplication):
             report = lint_multimode(application, platform=platform)
         else:
             report = lint_models(application=application, platform=platform)
     else:
         application = platform = None
         if job.psdf_xml is not None:
-            from repro.xmlio.psdf_parser import parse_psdf_xml
-
             # the parsed scheme, as `segbus lint` reads it: a cyclic
             # graph is a finding, not a refusal
             application = parse_psdf_xml(job.psdf_xml)
         if job.psm_xml is not None:
-            from repro.xmlio.psm_parser import parse_psm_xml
-
             platform = parse_psm_xml(job.psm_xml).to_platform()
         report = lint_models(application=application, platform=platform)
     result = json.loads(report.to_json())
@@ -503,16 +524,14 @@ def refusal_message(job: ServeJob, exc: SegBusError) -> str:
     """The 400 message for a job whose run raised ``exc``.
 
     Names the first inline scheme its loader refuses (``"psdf_xml: …"``);
-    any other refusal, such as a cyclic graph, keeps ``exc``'s message.
-    Runs only after a failure, so a served miss parses each scheme once.
+    a PSM loads into its platform model, so a value the model elements
+    refuse names ``psm_xml`` too.  Any other refusal, such as a cyclic
+    graph, keeps ``exc``'s message.  Runs only after a failure, so a
+    served miss parses each scheme once.
     """
-    from repro.xmlio.faults_xml import parse_fault_plan_xml
-    from repro.xmlio.psdf_parser import parse_psdf_xml
-    from repro.xmlio.psm_parser import parse_psm_xml
-
     for field, load in (
         ("psdf_xml", parse_psdf_xml),
-        ("psm_xml", parse_psm_xml),
+        ("psm_xml", lambda text: parse_psm_xml(text).to_platform()),
         ("fault_plan_xml", parse_fault_plan_xml),
     ):
         text = getattr(job, field)

@@ -154,8 +154,8 @@ def measure_pair(
     application = parse_psdf_xml(
         psdf_path.read_text(encoding="utf-8")
     ).to_graph()
-    spec = PlatformSpec.from_parsed_psm(
-        parse_psm_xml(psm_path.read_text(encoding="utf-8"))
+    spec = PlatformSpec.from_platform(
+        parse_psm_xml(psm_path.read_text(encoding="utf-8")).to_platform()
     )
     tracer = Tracer()
     sim = simulation_class(engine)(application, spec, tracer=tracer).run()

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.errors import FrequencyError
+
 #: femtoseconds per second
 FS_PER_SECOND = 10**15
 #: femtoseconds per picosecond
@@ -33,12 +35,21 @@ MHZ = 10**6
 def period_fs_from_hz(frequency_hz: float) -> int:
     """Return the clock period in femtoseconds for ``frequency_hz``.
 
+    Raises :class:`~repro.errors.FrequencyError` unless the period is a
+    finite whole number of at least 1 fs.
+
     >>> period_fs_from_hz(91e6)
     10989011
     """
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return round(FS_PER_SECOND / frequency_hz)
+    try:
+        period = round(FS_PER_SECOND / frequency_hz)
+    except (ZeroDivisionError, ValueError, OverflowError):  # zero, NaN, inf period
+        period = 0
+    if period < 1:
+        raise FrequencyError(
+            f"frequency {frequency_hz!r} Hz has no clock period of at least 1 fs"
+        )
+    return period
 
 
 def fs_to_ps(t_fs: int) -> int:
@@ -73,8 +84,7 @@ class Frequency:
     hz: float
 
     def __post_init__(self) -> None:
-        if self.hz <= 0:
-            raise ValueError(f"frequency must be positive, got {self.hz}")
+        period_fs_from_hz(self.hz)  # refuses a frequency without a period
 
     @classmethod
     def from_mhz(cls, mhz: float) -> "Frequency":

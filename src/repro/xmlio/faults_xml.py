@@ -5,6 +5,7 @@ and PSM models: an XSD-style scheme document whose complex types carry
 ``<name>_<value>`` Parameter entries (section 3.4's convention).  The plan
 becomes one ``FaultPlan`` complex type holding the seed plus one
 ``FaultRecordN`` child type per record; :func:`parse_fault_plan_xml`
+(:func:`parse_fault_plan_schema` behind :meth:`SchemaDocument.from_xml`)
 rebuilds a plan that is *equal* to the original — same seed, same records
 in the same order — so an emulation driven by a parsed plan injects the
 bit-identical fault sequence (see docs/ROBUSTNESS.md).
@@ -53,7 +54,12 @@ def fault_plan_to_xml(plan: FaultPlan) -> str:
 
 def parse_fault_plan_xml(text: str) -> FaultPlan:
     """Parse a scheme produced by :func:`fault_plan_to_xml`."""
-    doc = SchemaDocument.from_xml(text)
+    return parse_fault_plan_schema(SchemaDocument.from_xml(text))
+
+
+def parse_fault_plan_schema(doc: SchemaDocument) -> FaultPlan:
+    """Parse a fault-plan scheme document, such as
+    :func:`fault_plan_to_scheme` builds."""
     if not doc.top_level:
         raise XMLFormatError("fault scheme has no top-level element")
     root = doc.complex_type(doc.top_level[0].type)

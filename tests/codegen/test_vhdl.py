@@ -19,7 +19,7 @@ class TestIdentifiers:
     def test_accepts_legal(self, good):
         assert check_identifier(good) == good
 
-    @pytest.mark.parametrize("bad", ["1clk", "a-b", "", "a b", "_x"])
+    @pytest.mark.parametrize("bad", ["1clk", "a-b", "", "a b", "_x", "seg1\n"])
     def test_rejects_illegal(self, bad):
         with pytest.raises(SegBusError):
             check_identifier(bad)

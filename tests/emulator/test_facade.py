@@ -55,8 +55,9 @@ class TestCostPreservation:
         assert flow.ticks_per_package(36) == 190   # cost model survived
 
     def test_flattened_costs_freeze_c(self):
-        emulator = SegBusEmulator.from_models(
-            self.graph(), self.platform(18), preserve_costs=False
+        # the scheme text carries C at the package size only
+        emulator = SegBusEmulator(
+            psdf_to_xml(self.graph(), 18), psm_to_xml(self.platform(18))
         )
         flow = emulator.application.flow("A", "B")
         assert flow.ticks_per_package(18) == 100

@@ -104,6 +104,42 @@ class TestLintPaths:
         assert report.targets == [str(psdf), str(psm)]
         assert report.checked_rules == len(registry) - 1
 
+    def test_each_file_is_parsed_once(
+        self, tmp_path, registry, mp3_graph, monkeypatch
+    ):
+        from repro.faults.model import FaultPlan, FaultRecord
+        from repro.xmlio.faults_xml import fault_plan_to_xml
+        from repro.xmlio.schema_writer import SchemaDocument
+
+        psdf = tmp_path / "app.xml"
+        psm = tmp_path / "platform.xml"
+        plan = tmp_path / "plan.xml"
+        psdf.write_text(psdf_to_xml(mp3_graph, PAPER_PACKAGE_SIZE))
+        psm.write_text(psm_to_xml(paper_platform(3)))
+        plan.write_text(
+            fault_plan_to_xml(
+                FaultPlan(
+                    seed=1,
+                    records=(
+                        FaultRecord(site="fu:P0", kind="fu_stall", rate=0.1, ticks=5),
+                    ),
+                )
+            )
+        )
+        parsed = []
+        from_xml = SchemaDocument.from_xml.__func__
+
+        def counting(cls, text):
+            parsed.append(text)
+            return from_xml(cls, text)
+
+        monkeypatch.setattr(SchemaDocument, "from_xml", classmethod(counting))
+        assert lint_paths([psdf, psm], registry=registry).exit_code == 0
+        assert len(parsed) == 2
+        parsed.clear()
+        assert lint_paths([psdf, psm, plan], registry=registry).exit_code == 0
+        assert len(parsed) == 3
+
     def test_loader_findings_respect_disable(self, tmp_path, registry):
         bad = tmp_path / "bad.xml"
         bad.write_text("not xml")

@@ -21,7 +21,7 @@ def test_description_is_free_text():
     assert proc.description == "frame decoding"
 
 
-@pytest.mark.parametrize("bad", ["", "0P", "P_1", "P 1", "P-1"])
+@pytest.mark.parametrize("bad", ["", "0P", "P_1", "P 1", "P-1", "P1\n"])
 def test_rejects_bad_names(bad):
     with pytest.raises(PSDFError):
         Process(bad)

@@ -1,7 +1,10 @@
 """Unit tests for exact time/frequency arithmetic."""
 
+import math
+
 import pytest
 
+from repro.errors import FrequencyError, SegBusError
 from repro.units import (
     FS_PER_PS,
     FS_PER_SECOND,
@@ -83,3 +86,25 @@ class TestFrequency:
 
     def test_hashable(self):
         assert len({Frequency.from_mhz(91), Frequency.from_mhz(91)}) == 1
+
+
+#: MHz values whose period is not a finite whole number of >= 1 fs
+NO_PERIOD_MHZ = [math.nan, math.inf, -math.inf, 0, -5, 1e-300, 1e10]
+
+
+class TestFrequenciesWithoutAPeriod:
+    @pytest.mark.parametrize("mhz", NO_PERIOD_MHZ, ids=repr)
+    def test_frequency_refuses(self, mhz):
+        with pytest.raises(FrequencyError) as caught:
+            Frequency.from_mhz(mhz)
+        # a library error the CLI and the service report, and a ValueError
+        assert isinstance(caught.value, SegBusError)
+        assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("mhz", NO_PERIOD_MHZ, ids=repr)
+    def test_period_refuses(self, mhz):
+        with pytest.raises(FrequencyError):
+            period_fs_from_hz(mhz * 1e6)
+
+    def test_one_fs_is_the_shortest_period(self):
+        assert Frequency.from_mhz(1e9).period_fs == 1

@@ -165,23 +165,22 @@ def test_document_parse_equals_text_parse(name):
     )
 
 
-@pytest.mark.parametrize("preserve_costs", [True, False])
+@pytest.mark.parametrize("model_costs", [True, False])
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_from_models_emulates_what_the_text_carries(name, preserve_costs):
+def test_from_models_emulates_what_the_text_carries(name, model_costs):
     application, platform = CORPUS[name]()
-    documents = SegBusEmulator.from_models(
-        application, platform, preserve_costs=preserve_costs
-    )
     text = SegBusEmulator(
         psdf_to_xml(application, platform.package_size), psm_to_xml(platform)
     )
-    expected = list(text.application.flows)
-    if preserve_costs:
-        costs = {(f.source, f.target, f.order): f.cost for f in application.flows}
-        expected = [
-            dataclasses.replace(f, cost=costs[(f.source, f.target, f.order)])
-            for f in expected
-        ]
+    if not model_costs:
+        # the graph the text carries: every C frozen at the package size
+        application = text.application
+    documents = SegBusEmulator.from_models(application, platform)
+    costs = {(f.source, f.target, f.order): f.cost for f in application.flows}
+    expected = [
+        dataclasses.replace(f, cost=costs[(f.source, f.target, f.order)])
+        for f in text.application.flows
+    ]
     assert list(documents.application.flows) == expected
     assert documents.application.processes == text.application.processes
     assert documents.application.name == text.application.name
@@ -199,9 +198,11 @@ def test_example_files_emulate_as_their_models(psm_file):
         EXAMPLES / "mp3_psdf.xml", EXAMPLES / psm_file
     )
     application, platform = _example(psm_file)
-    from_models = SegBusEmulator.from_models(
-        application, platform, preserve_costs=False
+    rewritten = SegBusEmulator(
+        psdf_to_xml(application, platform.package_size), psm_to_xml(platform)
     )
+    assert rewritten.run().digest() == from_files.run().digest()
+    from_models = SegBusEmulator.from_models(application, platform)
     assert from_models.run().digest() == from_files.run().digest()
 
 
