@@ -56,6 +56,7 @@ full traceback instead.
 from __future__ import annotations
 
 import argparse
+import gc
 import signal
 import sys
 from pathlib import Path
@@ -415,9 +416,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import default_registry, lint_paths, render
+    from repro.lint import builtin_registry, lint_paths, render
 
-    registry = default_registry()
+    registry = builtin_registry()
     if args.list_rules:
         for rule in registry:
             print(
@@ -556,6 +557,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
 
+    # everything alive now (modules, the service, the server) lives as
+    # long as the server: move it out of the collector's generations so
+    # that a full collection no longer walks it
+    gc.freeze()
     # tests parse this line for the ephemeral port — keep it first & flushed
     print(f"serving on {server.url}", flush=True)
     try:
@@ -563,6 +568,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
+        gc.unfreeze()
         server.shutdown()
         server.server_close()
         service.stop()

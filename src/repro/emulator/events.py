@@ -72,6 +72,10 @@ class EventQueue:
         """Mark a scheduled event as cancelled (lazily removed)."""
         entry.cancelled = True
 
+    def clear(self) -> None:
+        """Drop every pending event (a run that raised leaves some behind)."""
+        self._heap.clear()
+
     def pop(self) -> Optional[Tuple[int, Action]]:
         """Remove and return the next live event, or None when drained."""
         while self._heap:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 from functools import partial
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.emulator.events import PRIO_CA, PRIO_SA, PRIO_STATE
 from repro.emulator.kernel import Simulation
@@ -97,6 +97,9 @@ class FastEventQueue:
 
     def cancel(self, entry: list) -> None:
         entry[3] = True
+
+    def clear(self) -> None:
+        self.heap.clear()
 
     def pop(self):
         heap = self.heap
@@ -223,7 +226,7 @@ class FastSimulation(Simulation):
             )
             for name in self.application.process_names
         }
-        self._ca_check_action = self._on_ca_check
+        self._ca_check_action: Optional[Callable[[], None]] = self._on_ca_check
 
         # -- per-master metadata: compute times, precreated jobs -------------
         routes: Dict[Tuple[int, int], tuple] = {}
@@ -321,6 +324,22 @@ class FastSimulation(Simulation):
                     watchdog.observe(self)
         finally:
             queue.executed = executed
+
+    def _release(self) -> None:
+        """Also drop the prebound actions and the per-package jobs.
+
+        Each action is bound to the simulation, and each job points at its
+        master, which holds the jobs.  A run that raised may leave jobs
+        queued on a segment, which the master's ``f_segment`` reaches.
+        """
+        super()._release()
+        self._fire_meta.clear()
+        self._ca_check_action = None
+        for segment in self.segments.values():
+            segment.f_sa_action = segment.f_intra_action = None
+            segment.f_sa_entry = None
+        for master in self.masters.values():
+            master.f_action = master.f_jobs = master.f_segment = None
 
     # ------------------------------------------------------------------ firing
 

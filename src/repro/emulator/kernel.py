@@ -918,7 +918,10 @@ class Simulation:
             if self.schedule.inputs_of[name] == 0:
                 self._schedule_fire(name, 0)
         self._schedule_permanent_failures()
-        self._run_loop()
+        try:
+            self._run_loop()
+        finally:
+            self._release()
         self._finished = True
         if self.failed_elements or self._abandoned:
             self._finalize_degraded()
@@ -958,6 +961,18 @@ class Simulation:
                 )
             if self.watchdog is not None:
                 self.watchdog.observe(self)
+
+    def _release(self) -> None:
+        """Drop what closes over the simulation once the loop exits.
+
+        Queued actions and the arbitration handles all reach back to the
+        simulation; a drained queue holds none, but a run that raised
+        leaves some behind.  Dropping them lets a finished run be freed
+        by reference counting instead of waiting for the cyclic collector.
+        """
+        self.queue.clear()
+        self._sa_entries.clear()
+        self._ca_entry = None
 
     # ------------------------------------------------------------------ faults
 

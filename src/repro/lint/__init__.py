@@ -25,6 +25,7 @@ from repro.lint.core import (
 )
 from repro.lint.engine import (
     INTERNAL_RULE_ID,
+    builtin_registry,
     default_registry,
     lint_models,
     lint_multimode,
@@ -62,6 +63,7 @@ __all__ = [
     "SchemeFile",
     "Severity",
     "SourceLocation",
+    "builtin_registry",
     "classify_scheme",
     "default_registry",
     "format_json",

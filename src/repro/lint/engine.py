@@ -33,7 +33,14 @@ INTERNAL_RULE_ID = "SB999"
 
 
 def default_registry() -> RuleRegistry:
-    """A fresh registry holding the complete built-in rule catalogue."""
+    """A fresh registry holding the complete built-in rule catalogue.
+
+    Callers may register rules of their own on it.  The lint fronts,
+    called without a ``registry``, run one shared build per process
+    instead (:func:`builtin_registry`): the catalogue is code, and each
+    build is a web of reference cycles (rules closing over their
+    registration scope) that only the cyclic garbage collector frees.
+    """
     import importlib
 
     registry = RuleRegistry()
@@ -68,8 +75,8 @@ def registry_hash(registry: Optional[RuleRegistry] = None) -> str:
     removing, re-levelling or rewording a rule invalidates previously
     cached findings instead of replaying them stale.
 
-    Without ``registry`` it fingerprints :func:`default_registry`'s
-    catalogue.  The catalogue is code, so that digest is computed once
+    Without ``registry`` it fingerprints the built-in catalogue the lint
+    fronts run.  The catalogue is code, so that digest is computed once
     per process, and again only if ``default_registry`` itself is
     replaced.
     """
@@ -85,8 +92,23 @@ def registry_hash(registry: Optional[RuleRegistry] = None) -> str:
 
 
 @functools.lru_cache(maxsize=1)
+def _catalogue(build: Callable[[], RuleRegistry]) -> RuleRegistry:
+    return build()
+
+
+@functools.lru_cache(maxsize=1)
 def _catalogue_hash(build: Callable[[], RuleRegistry]) -> str:
-    return registry_hash(build())
+    return registry_hash(_catalogue(build))
+
+
+def builtin_registry() -> RuleRegistry:
+    """The shared build of :func:`default_registry`'s catalogue.
+
+    Built once per process, and again only if ``default_registry`` itself
+    is replaced.  Read it, never register on it: every lint call without
+    an explicit registry runs it.
+    """
+    return _catalogue(default_registry)
 
 
 def run_rules(
@@ -95,7 +117,7 @@ def run_rules(
     disable: Sequence[str] = (),
 ) -> LintReport:
     """Execute every registered rule over ``context``."""
-    registry = registry if registry is not None else default_registry()
+    registry = registry if registry is not None else builtin_registry()
     disabled = set(disable)
     internal = registry.get(INTERNAL_RULE_ID)
     report = LintReport()
@@ -148,7 +170,7 @@ def lint_multimode(
     *union* of every mode's processes, so processes of the other modes are
     expected strays.  Findings merge with the usual key-based dedup.
     """
-    registry = registry if registry is not None else default_registry()
+    registry = registry if registry is not None else builtin_registry()
     context = LintContext.from_models(platform=platform, multimode=multimode)
     combined = run_rules(context, registry=registry, disable=disable)
     for name in sorted(multimode.modes):
@@ -170,7 +192,7 @@ def lint_paths(
     disable: Sequence[str] = (),
 ) -> LintReport:
     """Lint XML scheme files (the ``segbus lint`` entry point)."""
-    registry = registry if registry is not None else default_registry()
+    registry = registry if registry is not None else builtin_registry()
     context, loader_findings = _load(paths, registry)
     report = run_rules(context, registry=registry, disable=disable)
     disabled = set(disable)

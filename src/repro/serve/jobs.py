@@ -213,6 +213,8 @@ def parse_job(
             kind == "emulate",
             f"fault_plan_xml applies to emulate jobs, not {kind}",
         )
+    if strict:
+        _require(kind == "emulate", f"strict applies to emulate jobs, not {kind}")
 
     return ServeJob(
         kind=kind,
@@ -523,15 +525,24 @@ def execute_job(job: ServeJob) -> Dict[str, object]:
 def refusal_message(job: ServeJob, exc: SegBusError) -> str:
     """The 400 message for a job whose run raised ``exc``.
 
-    Names the first inline scheme its loader refuses (``"psdf_xml: …"``);
-    a PSM loads into its platform model, so a value the model elements
-    refuse names ``psm_xml`` too.  Any other refusal, such as a cyclic
-    graph, keeps ``exc``'s message.  Runs only after a failure, so a
-    served miss parses each scheme once.
+    Names the first inline scheme its loader refuses (``"psdf_xml: …"``).
+    A PSM loads as the job loads it: into its platform model, whose
+    elements check every value, and for emulate and estimate jobs on into
+    the kernel's :class:`~repro.emulator.kernel.PlatformSpec`, so a value
+    either refuses names ``psm_xml`` too.  Any other refusal, such as a
+    cyclic graph, keeps ``exc``'s message.  Runs only after a failure, so
+    a served miss parses each scheme once.
     """
+
+    def load_psm(text: str) -> object:
+        platform = parse_psm_xml(text).to_platform()
+        if job.kind == "lint":
+            return platform
+        return PlatformSpec.from_platform(platform)
+
     for field, load in (
         ("psdf_xml", parse_psdf_xml),
-        ("psm_xml", lambda text: parse_psm_xml(text).to_platform()),
+        ("psm_xml", load_psm),
         ("fault_plan_xml", parse_fault_plan_xml),
     ):
         text = getattr(job, field)

@@ -78,6 +78,56 @@ class TestHostilePlatformValues:
         assert "SB401" in {finding["rule"] for finding in findings}
 
 
+class TestSegmentNumbering:
+    """Segments 1 and 3 build a platform model but no kernel platform: the
+    job's own load refuses them, so the 400 names the PSM."""
+
+    @pytest.fixture
+    def gapped_psm(self):
+        from repro.apps.mp3 import paper_allocation
+        from repro.model.builder import PlatformBuilder
+        from repro.xmlio.psm_writer import psm_to_xml
+
+        builder = (
+            PlatformBuilder("SBP", package_size=36)
+            .segment(frequency_mhz=91, index=1)
+            .segment(frequency_mhz=98, index=3)
+            .central_arbiter(frequency_mhz=111)
+        )
+        for index, group in zip((1, 3), paper_allocation(2).groups):
+            for process in group:
+                builder.place(process, index)
+        return psm_to_xml(builder.build())
+
+    def test_served_emulate_and_estimate_name_the_psm(
+        self, gapped_psm, service_factory, inline_schemes
+    ):
+        psdf_xml, _ = inline_schemes
+        service = service_factory()
+        for kind in ("emulate", "estimate"):
+            response = service.submit(
+                {"kind": kind, "psdf_xml": psdf_xml, "psm_xml": gapped_psm}
+            )
+            assert (response.status, response.cache) == (400, "rejected"), kind
+            assert json.loads(response.body)["error"] == {
+                "kind": "invalid",
+                "message": "psm_xml: segment indices must be contiguous "
+                "from 1, got [1, 3]",
+            }
+        executor = service.stats()["executor"]
+        assert (executor["attempts"], executor["retries"]) == (2, 0)
+
+    def test_served_lint_reports_findings(
+        self, gapped_psm, service_factory, inline_schemes
+    ):
+        psdf_xml, _ = inline_schemes
+        response = service_factory().submit(
+            {"kind": "lint", "psdf_xml": psdf_xml, "psm_xml": gapped_psm}
+        )
+        assert response.status == 200
+        assert json.loads(response.body)["result"]["findings"]
+
+
 class TestStrictMultiMode:
     """``--strict`` lints a multi-mode scenario on the CLI as served."""
 

@@ -91,6 +91,46 @@ class TestParseJob:
         with pytest.raises(JobValidationError, match=detail):
             parse_job(payload)
 
+    @pytest.mark.parametrize("kind", ["estimate", "lint", "selftest"])
+    def test_strict_applies_to_emulate_jobs_only(self, kind, inline_schemes):
+        # only an emulation lints before it runs: elsewhere the flag would
+        # change nothing but the cache key, computing one result twice
+        psdf_xml, psm_xml = inline_schemes
+        payload = {"kind": kind, "psdf_xml": psdf_xml, "psm_xml": psm_xml}
+        if kind == "selftest":
+            payload = {"kind": kind, "count": 1}
+        with pytest.raises(
+            JobValidationError,
+            match=f"strict applies to emulate jobs, not {kind}$",
+        ):
+            parse_job({**payload, "strict": True})
+        assert parse_job({**payload, "strict": False}).strict is False
+        emulate = {"kind": "emulate", "psdf_xml": psdf_xml, "psm_xml": psm_xml}
+        assert parse_job({**emulate, "strict": True}).strict
+
+    def test_a_strict_estimate_is_refused_before_it_computes(
+        self, service_factory, inline_schemes
+    ):
+        psdf_xml, psm_xml = inline_schemes
+        service = service_factory()
+        response = service.submit(
+            {
+                "kind": "estimate",
+                "psdf_xml": psdf_xml,
+                "psm_xml": psm_xml,
+                "strict": True,
+            }
+        )
+        assert (response.status, response.cache) == (400, "rejected")
+        error = json.loads(response.body)["error"]
+        assert error == {
+            "kind": "invalid",
+            "message": "strict applies to emulate jobs, not estimate",
+        }
+        stats = service.stats()
+        assert stats["by_disposition"] == {"rejected": 1}
+        assert stats["executor"].get("attempts", 0) == 0
+
     def test_workload_and_inline_are_mutually_exclusive(self, inline_schemes):
         psdf_xml, psm_xml = inline_schemes
         with pytest.raises(JobValidationError, match="mutually exclusive"):
