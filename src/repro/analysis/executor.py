@@ -75,6 +75,8 @@ JOURNAL_VERSION = 1
 _POLL_S = 0.05
 #: graceful worker join budget before escalating to SIGKILL
 _JOIN_S = 5.0
+#: the same budget when a run aborts (SIGTERM, Ctrl-C) with jobs in flight
+_ABORT_JOIN_S = 0.5
 #: traceback lines a worker ships back with a failed attempt
 _TRACEBACK_TAIL_LINES = 6
 #: with ``workers`` unset, a batch of fewer pending jobs runs in-process
@@ -119,8 +121,10 @@ class ExecutorPolicy:
         per-job wall-clock budget measured from the worker's last
         progress; ``None`` disables it.  Expiry kills the worker
         (a stalled process cannot be cancelled politely) and counts as
-        a failed attempt.  Not enforceable on the in-process serial
-        path.
+        a failed attempt.  The in-process path cannot interrupt a job,
+        so an executor with ``workers=1`` refuses a timeout; with
+        ``workers`` unset, a batch small enough to run in-process runs
+        without one.
     """
 
     max_attempts: int = 3
@@ -470,6 +474,9 @@ class CheckpointJournal:
 
 def _worker_main(conn) -> None:  # pragma: no cover - runs in worker processes
     """Worker loop: receive a chunk, report one message per job, repeat."""
+    # a terminal's Ctrl-C reaches the whole process group; the
+    # supervisor, not the signal, decides when a worker stops
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
             task = conn.recv()
@@ -554,13 +561,20 @@ class CampaignExecutor:
     :func:`canonical_digest` over every one of its fields.
 
     Parameters mirror the CLI flags: ``policy`` (timeout/retries),
-    ``workers`` (1 runs the batch in-process and ``>= 2`` runs every
-    job in a supervised worker; unset runs fewer than three pending
-    jobs in-process and larger batches on one worker per CPU),
-    ``checkpoint_dir``/``checkpoint_name``/``resume`` (journal), and
-    ``chaos`` (a :class:`repro.testing.chaos.ChaosPlan`; defaults to the
-    ``SEGBUS_CHAOS`` environment spec, which is how the chaos suite
-    reaches a ``segbus`` subprocess).
+    ``workers`` (1 runs the batch in-process and refuses a timeout;
+    ``>= 2`` runs every job in a supervised worker; unset runs fewer
+    than three pending jobs in-process and larger batches on one worker
+    per CPU), ``checkpoint_dir``/``checkpoint_name``/``resume``
+    (journal), and ``chaos`` (a :class:`repro.testing.chaos.ChaosPlan`;
+    defaults to the ``SEGBUS_CHAOS`` environment spec, which is how the
+    chaos suite reaches a ``segbus`` subprocess).
+
+    :meth:`open` (or ``with``) forks the workers once, so a long-lived
+    caller such as ``segbus serve`` pays the fork once: every later run
+    reuses them and replaces only a worker lost to a crash, a timeout or
+    a chaos kill, until :meth:`close` — or a run that is interrupted —
+    shuts them down.  A run on an executor nobody opened forks and joins
+    its own pool, so a one-shot sweep leaves no process behind.
     """
 
     def __init__(
@@ -579,6 +593,11 @@ class CampaignExecutor:
             raise ExecutorError(f"workers must be >= 1, got {workers}")
         self.runner = runner
         self.policy = policy or ExecutorPolicy()
+        if workers == 1 and self.policy.timeout_s is not None:
+            raise ExecutorError(
+                "a per-job timeout needs workers >= 2: the in-process "
+                "path cannot interrupt a job"
+            )
         self.workers = workers
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_name = checkpoint_name
@@ -589,6 +608,8 @@ class CampaignExecutor:
 
             chaos = ChaosPlan.from_env()
         self.chaos = chaos
+        #: the workers :meth:`open` forked, kept until :meth:`close`
+        self._pool: Optional[List[_Worker]] = None
 
         # per-run state
         self._results: List[Optional[object]] = []
@@ -599,6 +620,31 @@ class CampaignExecutor:
         self._completed = 0
         self._stats: Dict[str, int] = {}
         self._interrupted = False
+
+    # -- pool lifetime --------------------------------------------------------
+
+    def open(self) -> "CampaignExecutor":
+        """Fork the workers now; later runs reuse them until :meth:`close`.
+
+        A no-op when already open, and for ``workers=1``, which runs
+        in-process.
+        """
+        if self._pool is None and self.workers != 1:
+            ctx = multiprocessing.get_context()
+            self._pool = [_Worker(ctx) for _ in range(self._configured())]
+        return self
+
+    def close(self) -> None:
+        """Shut the opened workers down (idempotent)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            self._shutdown(pool, _JOIN_S)
+
+    def __enter__(self) -> "CampaignExecutor":
+        return self.open()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- public entry ---------------------------------------------------------
 
@@ -864,18 +910,8 @@ class CampaignExecutor:
 
     # -- parallel path --------------------------------------------------------
 
-    def _worker_count(self, pending: int) -> int:
-        configured = self.workers or os.cpu_count() or 2
-        count = max(1, min(configured, pending))
-        logger.debug(
-            "executor: parallel path with %d worker(s) for %d job(s) "
-            "(configured %s, cpu %s)",
-            count,
-            pending,
-            self.workers,
-            os.cpu_count(),
-        )
-        return count
+    def _configured(self) -> int:
+        return self.workers or os.cpu_count() or 2
 
     def _chunk_size(self, pending: int, workers: int) -> int:
         # large batches amortize pipe round-trips; small ones keep
@@ -901,9 +937,22 @@ class CampaignExecutor:
         self, jobs: Sequence[object], pending: "deque[_Task]"
     ) -> None:
         ctx = multiprocessing.get_context()
-        count = self._worker_count(len(pending))
-        chunk = self._chunk_size(len(pending), count)
-        workers: List[_Worker] = [_Worker(ctx) for _ in range(count)]
+        # a worker of the open pool that died between runs fails its
+        # first send without losing an attempt and is replaced below
+        workers = self._pool
+        if workers is None:
+            count = max(1, min(self._configured(), len(pending)))
+            workers = [_Worker(ctx) for _ in range(count)]
+        logger.debug(
+            "executor: parallel path with %d worker(s) for %d job(s) "
+            "(configured %s, cpu %s, %s)",
+            len(workers),
+            len(pending),
+            self.workers,
+            os.cpu_count(),
+            "open pool" if workers is self._pool else "pool per run",
+        )
+        chunk = self._chunk_size(len(pending), len(workers))
         try:
             while True:
                 if self._interrupted:
@@ -912,12 +961,17 @@ class CampaignExecutor:
                     len(w.pending) for w in workers
                 )
                 if open_tasks == 0:
-                    return
+                    break
                 self._assign(jobs, pending, workers, chunk)
                 self._wait_for_progress(pending, workers)
                 self._reap_and_requeue(pending, workers, ctx, jobs)
-        finally:
-            self._shutdown(workers)
+        except BaseException:
+            # an interrupted run takes its pool down, opened or not
+            self._pool = None
+            self._shutdown(workers, _ABORT_JOIN_S)
+            raise
+        if workers is not self._pool:
+            self._shutdown(workers, _JOIN_S)
 
     def _assign(
         self,
@@ -1076,14 +1130,14 @@ class CampaignExecutor:
                 workers[i] = _Worker(ctx)
                 self._stats["respawned_workers"] += 1
 
-    def _shutdown(self, workers: List[_Worker]) -> None:
+    def _shutdown(self, workers: List[_Worker], grace_s: float) -> None:
         for worker in workers:
             if worker.proc.is_alive():
                 try:
                     worker.conn.send(None)
                 except (BrokenPipeError, OSError):
                     pass
-        deadline = time.monotonic() + (0.5 if self._interrupted else _JOIN_S)
+        deadline = time.monotonic() + grace_s
         for worker in workers:
             worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
         for worker in workers:

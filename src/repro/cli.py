@@ -597,7 +597,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="per-job timeout; a stalled worker is killed and the job "
-        "retried (needs workers >= 2)",
+        "retried (needs worker processes: refused with --workers 1)",
     )
     parser.add_argument(
         "--retries",
@@ -958,14 +958,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="executor worker processes behind the service (default 1: "
-        "in-process serial; >= 2 enables per-job timeouts)",
+        "in-process; >= 2 forks one supervised pool at start, kept "
+        "until the server stops, and enables --timeout)",
     )
     srv.add_argument(
         "--timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-job timeout (needs --serve-workers >= 2)",
+        help="per-job timeout (needs --serve-workers >= 2; refused "
+        "otherwise)",
     )
     srv.add_argument(
         "--retries",

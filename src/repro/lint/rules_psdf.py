@@ -462,7 +462,9 @@ def _segment_loads(ctx: LintContext) -> List[Tuple[int, float, float]]:
         production_ticks[src] += packages * flow.ticks_per_package(size)
         lo, hi = min(src, dst), max(src, dst)
         for index in range(lo, hi + 1):
-            busy_ticks[index] += packages * size
+            # a gap in the segment numbering is SB103's finding
+            if index in busy_ticks:
+                busy_ticks[index] += packages * size
     return [
         (
             index,

@@ -453,7 +453,7 @@ def _execute_lint(job: ServeJob) -> Dict[str, object]:
         if job.psm_xml is not None:
             platform = parse_psm_xml(job.psm_xml).to_platform()
         report = lint_models(application=application, platform=platform)
-    result = json.loads(report.to_json())
+    result = report.to_dict()
     return {
         "kind": "lint",
         "registry": registry_hash(),

@@ -17,15 +17,15 @@ One request's life:
 4. Otherwise the job enters the bounded admission queue; when the
    queue is full the request is shed with a deterministic 429 +
    Retry-After.
-5. The dispatcher thread takes the whole admission queue as one
-   micro-batch and runs it through :class:`CampaignExecutor` with
-   per-job timeouts and retries.  Each ``run()`` spawns and joins its
-   own worker processes, so with a pool (``workers >= 2``) the
-   dispatcher first waits :data:`POOL_BATCH_WINDOW_S` for companions to
-   share that cost; one in-process worker has nothing to gather and
-   never waits.  The runner (:func:`_run_job`) loads each job once, its
-   only deep check: a refused input answers 400 after one attempt, so
-   retries see only crashes, timeouts and non-library exceptions.
+5. The dispatcher thread takes whatever the admission queue holds as
+   one micro-batch, at once, and runs it through :class:`CampaignExecutor`
+   with per-job timeouts and retries.  With ``workers >= 2`` the service
+   opens that executor when it is built, before any thread exists: one
+   pool per server, whose workers every micro-batch reuses and which
+   :meth:`SegbusService.stop` closes.  The runner (:func:`_run_job`)
+   loads each job once, its only deep check: a refused input answers
+   400 after one attempt, so retries see only crashes, timeouts and
+   non-library exceptions.
 6. Fulfilment caches a 200's canonical response bytes and wakes every
    waiter; a 400 answers them all ``rejected``.  Exhausted jobs produce
    a structured 500 carrying the :class:`JobFailure` ledger; neither is
@@ -69,24 +69,22 @@ from repro.serve.jobs import (
 REQUEST_TIMEOUT_S = 300.0
 #: the Retry-After a shed request advertises
 RETRY_AFTER_S = 1.0
-#: how long the dispatcher waits for companions when a worker pool
-#: serves the queue (step 5 above; measured in docs/SERVING.md)
-POOL_BATCH_WINDOW_S = 0.005
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """The serving settings a deployment picks (CLI flags mirror these).
 
-    The request deadline, the ``Retry-After`` of a shed request and the
-    pool's dispatch wait are module constants, not settings.
+    The request deadline and the ``Retry-After`` of a shed request are
+    module constants, not settings.
     """
 
     #: default engine for jobs that do not name one (None = SEGBUS_ENGINE)
     engine: Optional[str] = None
-    #: executor pool width; 1 = serial in-process (no spawn cost)
+    #: executor width; 1 = in-process, >= 2 = one supervised pool forked
+    #: when the service is built and kept until it stops
     workers: int = 1
-    #: per-job timeout (needs workers >= 2 to be enforceable)
+    #: per-job timeout; refused unless workers >= 2
     timeout_s: Optional[float] = None
     #: executor attempts per job, the first included (``--retries N``
     #: gives N + 1)
@@ -220,7 +218,6 @@ class SegbusService:
         self.executor = CampaignExecutor(
             _run_job, policy=policy, workers=config.workers, chaos=chaos
         )
-        self._window_s = POOL_BATCH_WINDOW_S if config.workers > 1 else 0.0
         self._lock = threading.Lock()
         self._queue: Deque[_Ticket] = deque()
         self._inflight: Dict[str, _Ticket] = {}
@@ -231,6 +228,8 @@ class SegbusService:
         self._batches = 0
         self._running = False
         self._dispatcher: Optional[threading.Thread] = None
+        # fork the pool (workers >= 2) while this is the only thread
+        self.executor.open()
         if auto_start:
             self.start()
 
@@ -249,7 +248,12 @@ class SegbusService:
         self._dispatcher.start()
 
     def stop(self) -> None:
-        """Stop dispatching; fail queued tickets with 503 and join."""
+        """Stop dispatching; fail queued tickets with 503, join, close the pool.
+
+        The pool closes once the dispatcher has returned: the dispatcher
+        closes it on its way out, so a batch still running past the join
+        budget keeps its workers until it ends.
+        """
         with self._lock:
             self._running = False
             pending = list(self._queue)
@@ -264,6 +268,8 @@ class SegbusService:
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=10.0)
             self._dispatcher = None
+        else:
+            self.executor.close()
 
     def reset(self) -> None:
         """Clear cache, counters and latency samples."""
@@ -335,10 +341,10 @@ class SegbusService:
     def submit_batch(self, payloads: List[object]) -> List[ServeResponse]:
         """A client batch: admit every job, then answer each like :meth:`submit`.
 
-        Admitting all of them before waiting lets same-key jobs coalesce
-        and, with a worker pool, lets the dispatcher's wait gather them
-        into one micro-batch.  Each job is counted and sampled on its
-        own; its latency runs from the batch's arrival.
+        Admitting all of them before waiting lets same-key jobs coalesce,
+        and jobs the dispatcher finds queued together share a
+        micro-batch.  Each job is counted and sampled on its own; its
+        latency runs from the batch's arrival.
         """
         started = time.perf_counter()
         tickets = [self.submit_async(payload) for payload in payloads]
@@ -391,22 +397,20 @@ class SegbusService:
     # -- dispatching --------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        while True:
-            self._wake.wait(timeout=0.1)
-            with self._lock:
-                if not self._running:
-                    return
-                if not self._queue:
+        try:
+            while True:
+                self._wake.wait(timeout=0.1)
+                with self._lock:
+                    if not self._running:
+                        return
+                    batch = list(self._queue)
+                    self._queue.clear()
                     self._wake.clear()
-                    continue
-            if self._window_s:
-                time.sleep(self._window_s)
-            with self._lock:
-                batch = list(self._queue)
-                self._queue.clear()
-                self._wake.clear()
-            if batch:
-                self._run_batch(batch)
+                if batch:
+                    self._run_batch(batch)
+        finally:
+            # the pool's only user closes it
+            self.executor.close()
 
     @staticmethod
     def _job_of(ticket: _Ticket) -> ServeJob:
@@ -491,6 +495,7 @@ class SegbusService:
                 "engine": self.engine,
                 "workers": self.config.workers,
                 "queue_depth": self.config.queue_depth,
-                "batch_window_s": self._window_s,
+                # the dispatcher never waits; the key stays for readers
+                "batch_window_s": 0.0,
             },
         }

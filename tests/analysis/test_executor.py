@@ -9,6 +9,9 @@ single CPU, so every parallel-path test pins ``workers`` explicitly.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -39,6 +42,15 @@ def probe_jobs(count: int):
 
 def expected(count: int):
     return [run_probe(job) for job in probe_jobs(count)]
+
+
+def worker_pid(job) -> int:
+    """A runner that answers with the pid of the process running it."""
+    return os.getpid()
+
+
+def children():
+    return sorted(p.pid for p in multiprocessing.active_children())
 
 
 class TestHappyPath:
@@ -229,6 +241,81 @@ class TestPathRule:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ExecutorError, match="workers must be >= 1"):
             CampaignExecutor(run_probe, workers=workers)
+
+    def test_one_worker_refuses_a_timeout(self):
+        # the in-process path cannot interrupt a job, so it never
+        # accepts a timeout it would silently drop
+        with pytest.raises(ExecutorError, match="timeout needs workers >= 2"):
+            CampaignExecutor(
+                run_probe, policy=ExecutorPolicy(timeout_s=5.0), workers=1
+            )
+
+    def test_unset_workers_keep_running_small_batches_in_process(self):
+        batch = CampaignExecutor(
+            worker_pid, policy=ExecutorPolicy(timeout_s=5.0)
+        ).run(probe_jobs(2))
+        assert list(batch.results) == [os.getpid()] * 2
+        assert children() == []
+
+
+class TestPool:
+    """An opened executor keeps one pool of workers across its runs."""
+
+    def test_an_open_pool_runs_every_batch_on_the_same_workers(self):
+        with CampaignExecutor(worker_pid, **PARALLEL) as executor:
+            pids = children()
+            assert len(pids) == 2
+            first = executor.run(probe_jobs(6))
+            second = executor.run(probe_jobs(6))
+            assert set(first.results) == set(second.results) == set(pids)
+            assert children() == pids
+            assert first.stats.respawned_workers == 0
+            assert second.stats.respawned_workers == 0
+        assert multiprocessing.active_children() == []
+
+    def test_close_leaves_no_child_and_is_idempotent(self):
+        executor = CampaignExecutor(run_probe, **PARALLEL).open()
+        assert len(children()) == 2
+        executor.close()
+        assert multiprocessing.active_children() == []
+        executor.close()
+
+    def test_an_unopened_run_leaves_no_child(self):
+        batch = CampaignExecutor(worker_pid, **PARALLEL).run(probe_jobs(4))
+        assert batch.ok
+        assert os.getpid() not in batch.results
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_opens_no_pool(self):
+        with CampaignExecutor(worker_pid, workers=1) as executor:
+            assert children() == []
+            batch = executor.run(probe_jobs(3))
+        assert list(batch.results) == [os.getpid()] * 3
+
+    def test_a_worker_killed_between_runs_is_replaced_once(self):
+        with CampaignExecutor(worker_pid, **PARALLEL) as executor:
+            victim = min(executor.run(probe_jobs(4)).results)
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while victim in children():  # reaps it once it is dead
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            batch = executor.run(probe_jobs(4))
+            assert batch.ok
+            assert batch.stats.respawned_workers == 1
+            assert batch.stats.crashes == 0
+            assert victim not in batch.results
+            assert len(children()) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupted_run_closes_the_pool(self):
+        executor = CampaignExecutor(
+            run_probe, chaos=ChaosPlan(interrupt_after=2), **PARALLEL
+        ).open()
+        assert len(children()) == 2
+        with pytest.raises(ExecutorInterrupted):
+            executor.run(probe_jobs(6))
+        assert multiprocessing.active_children() == []
 
 
 class TestCheckpointResume:

@@ -144,6 +144,24 @@ class TestLintCatalogue:
             assert gc.collect() == 0
         assert len(builds) == 1
 
+    def test_served_lint_jobs_leave_nothing(self):
+        from repro.serve.jobs import execute_job, parse_job, response_bytes
+        from repro.xmlio.psdf_writer import psdf_to_xml
+        from repro.xmlio.psm_writer import psm_to_xml
+
+        platform = paper_platform(2)
+        payload = {
+            "kind": "lint",
+            "psdf_xml": psdf_to_xml(mp3_decoder_psdf(), platform.package_size),
+            "psm_xml": psm_to_xml(platform),
+        }
+        expected = response_bytes(execute_job(parse_job(payload)))
+        with collector_off():
+            for _ in range(3):
+                body = response_bytes(execute_job(parse_job(payload)))
+                assert body == expected
+            assert gc.collect() == 0
+
     def test_default_registry_stays_fresh_and_open(self):
         first, second = default_registry(), default_registry()
         assert first is not second

@@ -58,6 +58,22 @@ class TestFaultsCommand:
         rc = main(["faults", "--app", "doom"])
         assert rc == 2
 
+    def test_a_timeout_on_one_worker_exits_2_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("segbus faults emulated")
+
+        monkeypatch.setattr(
+            "repro.analysis.reliability.SegBusEmulator.from_models", refuse
+        )
+        rc = main(["faults", "--workers", "1", "--timeout", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "segbus: error: a per-job timeout needs workers >= 2: the "
+            "in-process path cannot interrupt a job\n"
+        )
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exit_2(self, workers, capsys):
         rc = main(

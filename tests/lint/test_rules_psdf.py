@@ -207,6 +207,23 @@ def test_sb220_segment_saturation(registry):
     assert "SB221" in ids(report)
 
 
+def test_sb220_charges_only_the_segments_a_gapped_platform_has(mp3_graph):
+    from repro.apps.mp3 import paper_allocation
+    from repro.lint import lint_models
+    from repro.model.builder import PlatformBuilder
+
+    # segments numbered 1 and 3: SB103 names the gap, SB220 must not
+    # crash on the missing segment 2 between them
+    builder = PlatformBuilder("SBP", package_size=36)
+    builder.segment(91, index=1).segment(98, index=3).central_arbiter(111)
+    for index, group in zip((1, 3), paper_allocation(2).groups):
+        for process in group:
+            builder.place(process, index)
+    report = lint_models(application=mp3_graph, platform=builder.build())
+    assert "SB103" in ids(report)
+    assert "SB999" not in ids(report)
+
+
 def test_sb221_not_fired_when_intra_dominates(registry, mp3_graph, platform_3seg):
     ctx = LintContext.from_models(application=mp3_graph, platform=platform_3seg)
     report = run_rules(ctx, registry=registry)

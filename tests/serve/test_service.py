@@ -4,6 +4,7 @@ lifecycle."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 import re
 import sys
 import threading
@@ -52,6 +53,10 @@ def _arbiter_stripped(psm_xml: str) -> str:
     )
     assert stripped != psm_xml
     return stripped
+
+
+def _child_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
 
 
 def _count_calls(monkeypatch, *functions):
@@ -447,12 +452,14 @@ class TestBatching:
         assert "segbus-serve-dispatcher" not in sleepers
 
     def test_stats_report_the_effective_window(self, service_factory):
-        # /v1/stats keeps the config.batch_window_s key: the wait the
-        # dispatcher actually applies, which only a worker pool gets
+        # /v1/stats keeps the config.batch_window_s key; no dispatcher
+        # waits to gather a micro-batch, pool or not
         alone = service_factory(auto_start=False)
         pooled = service_factory(auto_start=False, workers=2)
-        assert alone.stats()["config"]["batch_window_s"] == 0.0
-        assert pooled.stats()["config"]["batch_window_s"] == 0.005
+        assert [
+            service.stats()["config"]["batch_window_s"]
+            for service in (alone, pooled)
+        ] == [0.0, 0.0]
 
 
 class TestLifecycle:
@@ -495,6 +502,25 @@ class TestLifecycle:
         assert default.stats()["config"]["engine"] == resolve_engine()
         fast = service_factory(auto_start=False, engine="fast")
         assert fast.stats()["config"]["engine"] == "fast"
+
+    @pytest.mark.parametrize("auto_start", [True, False])
+    def test_a_pool_lives_from_construction_to_stop(
+        self, auto_start, inline_schemes
+    ):
+        service = SegbusService(
+            ServiceConfig(workers=2), auto_start=auto_start
+        )
+        try:
+            pids = _child_pids()
+            assert len(pids) == 2
+            if auto_start:
+                response = service.submit(_emulate_payload(inline_schemes))
+                assert (response.status, response.cache) == (200, "miss")
+                # the micro-batch ran on the pool forked at construction
+                assert _child_pids() == pids
+        finally:
+            service.stop()
+        assert multiprocessing.active_children() == []
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ExecutorError, match="workers must be >= 1, got 0"):
