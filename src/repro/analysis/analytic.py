@@ -153,35 +153,56 @@ def path_timing(
     )
 
 
+class PathTimings(dict):
+    """One platform's :class:`PathTiming` per (source, target) segment pair.
+
+    Built on first use and shared by everything one estimate computes:
+    the analytic walk and the stochastic census read the same timings,
+    clocks and topology instead of deriving their own.
+    """
+
+    def __init__(self, spec: PlatformSpec, config: EmulationConfig) -> None:
+        super().__init__()
+        self.clocks, self.ca_clock = platform_clocks(spec)
+        self.topology = LinearTopology(spec.segment_count)
+        self.package_size = spec.package_size
+        self.config = config
+
+    def __missing__(self, key: Tuple[int, int]) -> PathTiming:
+        timing = self[key] = path_timing(
+            key[0],
+            key[1],
+            self.clocks,
+            self.ca_clock,
+            self.topology,
+            self.package_size,
+            self.config,
+        )
+        return timing
+
+
 def analytic_estimate(
     application: PSDFGraph,
     spec: PlatformSpec,
     config: EmulationConfig = EmulationConfig(),
     schedule: Optional[Schedule] = None,
+    timings: Optional[PathTimings] = None,
 ) -> AnalyticEstimate:
     """Contention-free completion-time walk over the precedence graph.
 
-    Callers that already extracted the flat schedule (e.g. the stochastic
-    layer, which needs it for its census anyway) can pass it in to skip
-    re-extraction — the hot path when estimating thousands of candidates.
+    Callers that already extracted the flat schedule or the platform's
+    path timings (e.g. the stochastic layer, which needs both for its
+    census anyway) can pass them in to skip re-deriving them — the hot
+    path when estimating thousands of candidates.
     """
     if schedule is None:
         schedule = schedule_for(application, spec.package_size)
-    topology = LinearTopology(spec.segment_count)
-    clocks, ca_clock = platform_clocks(spec)
-    s = spec.package_size
-    duration_cache: Dict[Tuple[int, int], int] = {}
-
-    def transfer_duration_fs(source_seg: int, target_seg: int) -> int:
-        """Bus time of one package from grant to delivery (no waiting)."""
-        key = (source_seg, target_seg)
-        cached = duration_cache.get(key)
-        if cached is None:
-            cached = path_timing(
-                source_seg, target_seg, clocks, ca_clock, topology, s, config
-            ).duration_fs
-            duration_cache[key] = cached
-        return cached
+    if timings is None:
+        timings = PathTimings(spec, config)
+    clocks, ca_clock = timings.clocks, timings.ca_clock
+    placement = spec.placement
+    handshake = config.master_handshake_ticks
+    durations: Dict[Tuple[int, int], int] = {}
 
     # completion time of each flow (source, target, order) and each process
     ready: Dict[str, int] = {}
@@ -194,17 +215,19 @@ def analytic_estimate(
             )
         else:
             fire = 0
-        segment = spec.placement[name]
+        segment = placement[name]
         clock = clocks[segment]
         cursor = clock.edge_after(fire)
         ready[name] = cursor
         for transfer in schedule.transfers_of[name]:
             per_package_compute = clock.ticks_to_fs(
-                transfer.ticks_per_package + config.master_handshake_ticks
+                transfer.ticks_per_package + handshake
             )
-            duration = transfer_duration_fs(
-                segment, spec.placement[transfer.target]
-            )
+            key = (segment, placement[transfer.target])
+            duration = durations.get(key)
+            if duration is None:
+                # bus time of one package from grant to delivery (no waiting)
+                duration = durations[key] = timings[key].duration_fs
             # the per-package increment is loop-invariant, so the package
             # loop collapses to one integer multiply (identical arithmetic)
             cursor += transfer.packages * (per_package_compute + duration)

@@ -253,7 +253,11 @@ def reliability_sweep(
     zero-hit point takes the reference's measurement — exactly what its
     own run would report, since it would execute the same events.  When
     the reference itself fails or degrades (say a ``timeout_ticks``
-    retry policy that times out fault-free), no point is cloned.
+    retry policy that times out fault-free), no point is cloned.  The
+    reference also gives the baseline when it completes and the policy
+    has no ``timeout_ticks``: a fault-free run never consults such a
+    policy, so it runs the baseline's events.  Otherwise the baseline
+    runs on its own, with the default policy.
 
     The remaining points run through the supervised campaign executor
     (:mod:`repro.analysis.executor`): ``workers`` parallelizes them (the
@@ -282,7 +286,6 @@ def reliability_sweep(
     policy = retry_policy or RetryPolicy(on_exhaustion="degrade")
     resolved = resolve_engine(engine)
     emulator = SegBusEmulator.from_models(application, platform, config=config)
-    baseline_us = emulator.run(engine=resolved).execution_time_us
     try:
         reference = make_simulation(
             emulator.application,
@@ -294,6 +297,15 @@ def reliability_sweep(
         ).run()
     except SegBusError:  # e.g. a retry timeout exhausts fault-free
         reference = None
+    reference_report = None
+    if reference is not None and not reference.degraded:
+        reference_report = build_report(reference)
+    if reference_report is not None and policy.timeout_ticks is None:
+        # a fault-free run consults a policy only through its timeout, so
+        # the reference ran exactly the baseline's events
+        baseline_us = reference_report.execution_time_us
+    else:
+        baseline_us = emulator.run(engine=resolved).execution_time_us
 
     jobs = [
         _ReliabilityJob(
@@ -311,7 +323,7 @@ def reliability_sweep(
         for rate in rates
         for seed in seeds
     ]
-    if reference is None or reference.degraded:
+    if reference_report is None:
         # the fault-free run already fails or degrades: clone nothing
         cloned = [False] * len(jobs)
     else:
@@ -322,7 +334,7 @@ def reliability_sweep(
     batch = executor.run(simulated).raise_on_failure(what="reliability job")
     outcomes = dict(zip((job.label for job in simulated), batch.results))
     if any(cloned):
-        reference_outcome = _report_outcome(build_report(reference))
+        reference_outcome = _report_outcome(reference_report)
         for job, clone in zip(jobs, cloned):
             if clone:
                 outcomes[job.label] = reference_outcome

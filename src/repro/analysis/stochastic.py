@@ -39,17 +39,14 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.analysis.analytic import (
     AnalyticEstimate,
     MultiModeAnalytic,
-    PathTiming,
+    PathTimings,
     analytic_estimate,
     analytic_estimate_multimode,
     critical_path,
-    path_timing,
-    platform_clocks,
     schedule_for,
 )
 from repro.emulator.config import EmulationConfig
 from repro.emulator.kernel import PlatformSpec
-from repro.model.topology import LinearTopology
 from repro.psdf.graph import PSDFGraph
 from repro.psdf.modes import MultiModeApplication
 from repro.units import fs_to_us
@@ -210,16 +207,6 @@ class PlacementMove:
         return fs_to_us(self.predicted_saving_fs)
 
 
-@dataclass(frozen=True)
-class _TransferCensus:
-    """One scheduled transfer's placement-resolved bus demand."""
-
-    source: str
-    target: str
-    packages: int
-    legs: Tuple[Tuple[int, int], ...]
-
-
 def stochastic_estimate(
     application: PSDFGraph,
     spec: PlatformSpec,
@@ -227,13 +214,17 @@ def stochastic_estimate(
 ) -> StochasticEstimate:
     """Static expected-TCT estimate with contention (no simulation)."""
     schedule = schedule_for(application, spec.package_size)
-    analytic = analytic_estimate(application, spec, config, schedule=schedule)
+    # one set of clocks and path timings serves the walk and the census
+    timings = PathTimings(spec, config)
+    analytic = analytic_estimate(
+        application, spec, config, schedule=schedule, timings=timings
+    )
     window = analytic.execution_time_fs
-    topology = LinearTopology(spec.segment_count)
-    clocks, ca_clock = platform_clocks(spec)
-    s = spec.package_size
-    bu_service_ticks = config.bu_sampling_ticks + config.bu_sync_ticks + s
-    timing_cache: Dict[Tuple[int, int], PathTiming] = {}
+    clocks = timings.clocks
+    placement = spec.placement
+    bu_service_ticks = (
+        config.bu_sampling_ticks + config.bu_sync_ticks + spec.package_size
+    )
 
     segment_arrivals: Dict[int, int] = {index: 0 for index in clocks}
     segment_busy: Dict[int, int] = {index: 0 for index in clocks}
@@ -241,17 +232,13 @@ def stochastic_estimate(
     bu_busy: Dict[Tuple[int, int], int] = {}
     ca_arrivals = 0
     ca_busy = 0
-    census: List[_TransferCensus] = []
+    #: per scheduled transfer: (source, target, packages, legs)
+    census: List[Tuple[str, str, int, Tuple[Tuple[int, int], ...]]] = []
     for transfers in schedule.transfers_of.values():
         for transfer in transfers:
-            source_seg = spec.placement[transfer.source]
-            target_seg = spec.placement[transfer.target]
-            timing = timing_cache.get((source_seg, target_seg))
-            if timing is None:
-                timing = path_timing(
-                    source_seg, target_seg, clocks, ca_clock, topology, s, config
-                )
-                timing_cache[(source_seg, target_seg)] = timing
+            source_seg = placement[transfer.source]
+            target_seg = placement[transfer.target]
+            timing = timings[(source_seg, target_seg)]
             packages = transfer.packages
             for segment, leg_fs in timing.legs:
                 segment_arrivals[segment] += packages
@@ -267,35 +254,30 @@ def stochastic_estimate(
                         right
                     ].ticks_to_fs(bu_service_ticks)
             census.append(
-                _TransferCensus(
-                    source=transfer.source,
-                    target=transfer.target,
-                    packages=packages,
-                    legs=timing.legs,
-                )
+                (transfer.source, transfer.target, packages, timing.legs)
             )
 
     chain = critical_path(application, analytic) if analytic.completion_fs else ()
     on_chain = set(chain)
     contention = 0.0
     if window > 0:
-        for item in census:
+        for source, target, packages, legs in census:
             # only waiting on the critical chain can extend the makespan
-            if item.source not in on_chain or item.target not in on_chain:
+            if source not in on_chain or target not in on_chain:
                 continue
-            for segment, leg_fs in item.legs:
+            for segment, leg_fs in legs:
                 # cross traffic only: the flow's own packages are already
                 # serialized by the analytic walk, they never queue on
                 # themselves
-                other_arrivals = segment_arrivals[segment] - item.packages
-                other_busy = segment_busy[segment] - item.packages * leg_fs
+                other_arrivals = segment_arrivals[segment] - packages
+                other_busy = segment_busy[segment] - packages * leg_fs
                 if other_arrivals <= 0 or other_busy <= 0:
                     continue
                 rho_other = min(other_busy / window, RHO_CAP)
                 service_other = other_busy / other_arrivals
                 rho_total = min(segment_busy[segment] / window, RHO_CAP)
                 wait = rho_other * service_other / (2.0 * (1.0 - rho_total))
-                contention += item.packages * wait
+                contention += packages * wait
 
     return StochasticEstimate(
         analytic=analytic,

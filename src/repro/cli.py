@@ -666,9 +666,10 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         "--engine",
         default=None,
         choices=list(ENGINE_NAMES),
-        help="simulation kernel: 'stepped' (cycle-stepped reference) or "
-        "'fast' (event-driven), tick-for-tick equivalent; default honours "
-        "SEGBUS_ENGINE (see docs/PERFORMANCE.md). For bench, omitting it "
+        help="simulation kernel: 'fast' (event-driven, the default) or "
+        "'stepped' (the cycle-stepped reference every check compares "
+        "against), tick-for-tick equivalent; unset honours SEGBUS_ENGINE, "
+        "else fast (see docs/PERFORMANCE.md). For bench, omitting it "
         "times both engines and records the speedup.",
     )
 

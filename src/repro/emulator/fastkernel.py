@@ -14,21 +14,29 @@ constant factors engineered out:
 * every clock-domain quantity (period, grant latency, bus occupancy,
   turnaround, BU waiting window) is pre-multiplied into plain integer
   femtoseconds at construction, one lookup per use;
-* transfer jobs — route, direction, BU chain and owning master runtime
-  included — are precreated per package instead of being allocated and
-  re-derived on every compute completion;
+* routes — path, direction and BU chain — are resolved once per transfer
+  at construction; a package's job is made in flight from its transfer's
+  route when its compute completes, and lives until the package is
+  delivered (or abandoned), so memory follows the packages in flight,
+  not the data volume;
 * heap entries are plain lists ordered by ``(time, priority, sequence)``,
   pushed inline at the hot call sites, and recurring actions (SA checks,
   CA checks, per-master completions) are bound once and reused, so the
   hot loop allocates almost nothing;
+* a CA check scheduled while the CA queue is empty would find nothing to
+  do: it keeps only its time (a *virtual* check) and is counted, not
+  queued, unless a job reaches the CA queue first (see
+  :meth:`FastSimulation._schedule_ca_check`);
 * tracing and fault hooks are branch-hoisted: a run without a tracer or
   fault plan never pays for either.
 
-**Equivalence contract.**  The fast engine schedules the *same logical
-events in the same order* as the stepped engine, so the executed-event
-count, every monitoring counter, the trace/timeline/report digests and
-``max(t_SA, t_CA)`` are bit-identical — not approximately, exactly.  The
-contract is enforced three ways (see docs/PERFORMANCE.md): the ENG-1
+**Equivalence contract.**  The fast engine runs the *same logical events
+in the same order* as the stepped engine, so the executed-event count,
+every monitoring counter, the trace/timeline/report digests and
+``max(t_SA, t_CA)`` are bit-identical — not approximately, exactly.  An
+empty CA check is a logical event that is counted rather than queued;
+sequence numbers stay monotone, so every queued event keeps its order.
+The contract is enforced three ways (see docs/PERFORMANCE.md): the ENG-1
 differential oracle in ``segbus selftest``, the Hypothesis property suite
 (``tests/property/test_engine_equivalence.py``), and the golden-trace
 store, which both engines must reproduce byte for byte.
@@ -54,8 +62,9 @@ ENGINE_NAMES: Tuple[str, ...] = ("stepped", "fast")
 #: environment variable consulted when no engine is given explicitly
 ENGINE_ENV_VAR = "SEGBUS_ENGINE"
 
-#: the repository default when neither an argument nor the env var says
-DEFAULT_ENGINE = "stepped"
+#: the repository default when neither an argument nor the env var says;
+#: ``stepped`` stays the normative engine every check compares against
+DEFAULT_ENGINE = "fast"
 
 
 class FastEventQueue:
@@ -69,8 +78,9 @@ class FastEventQueue:
     (the run loop writes them directly); the API — ``schedule``/``cancel``/
     ``pop``/``len`` — matches the stepped queue so inherited cold-path
     handlers work unchanged.  Hot handlers bypass ``schedule`` and push
-    entries inline, sharing the same ``seq`` counter so tie-breaking stays
-    bit-compatible with the stepped engine's schedule order.
+    entries inline, sharing the same ``seq`` counter so ties break in the
+    stepped engine's schedule order (a virtual CA check takes no number,
+    which leaves the order of the others as it is).
     """
 
     __slots__ = ("heap", "seq", "now_fs", "executed")
@@ -118,10 +128,10 @@ class _FastJob:
 
     Duck-type compatible with :class:`repro.emulator.fu.TransferJob` for
     every consumer inside the kernel (retry bookkeeping, CA bookkeeping,
-    purges, traces).  One instance exists per package and is reused across
-    retry attempts, exactly like the stepped engine reuses its job object
-    through the fail/requeue cycle.  ``path`` is ``None`` for
-    intra-segment packages.
+    purges, traces).  One instance is made per package when its compute
+    completes and is reused across retry attempts, exactly like the
+    stepped engine reuses its job object through the fail/requeue cycle.
+    ``path`` is ``None`` for intra-segment packages.
     """
 
     __slots__ = (
@@ -218,17 +228,17 @@ class FastSimulation(Simulation):
         #: fault-free runs skip the per-package key bookkeeping entirely
         self._resilient = self.faults is not None or self._has_timeout
 
-        # -- per-process firing metadata -------------------------------------
-        self._fire_meta = {
-            name: (
-                self.segments[spec.placement[name]].f_period,
-                partial(self._on_fire, name),
-            )
-            for name in self.application.process_names
-        }
         self._ca_check_action: Optional[Callable[[], None]] = self._on_ca_check
+        #: the time of the pending virtual CA check, -1 when there is none
+        self._ca_virtual_fs = -1
+        #: virtual CA checks the run has passed (each a logical event)
+        self._ca_virtual_count = 0
+        #: the latest time a virtual check may take; -1 keeps checks real
+        self._ca_virtual_limit_fs = -1
 
-        # -- per-master metadata: compute times, precreated jobs -------------
+        # -- per-master metadata: compute times, per-transfer routes ---------
+        #: one (target segment, path, direction, BU chain) per segment pair;
+        #: ``path`` and ``chain`` are None within a segment
         routes: Dict[Tuple[int, int], tuple] = {}
         handshake = config.master_handshake_ticks
         for master in self.masters.values():
@@ -238,55 +248,57 @@ class FastSimulation(Simulation):
             master.f_segment = self.segments[src]
             master.f_action = partial(self._on_compute_done, master)
             compute_fs: List[int] = []
-            jobs: List[Tuple[_FastJob, ...]] = []
+            transfer_routes: List[tuple] = []
             for transfer in master.transfers:
                 compute_fs.append(
                     (transfer.ticks_per_package + handshake) * p
                 )
                 tgt = spec.placement[transfer.target]
-                if src != tgt:
-                    route = routes.get((src, tgt))
-                    if route is None:
+                route = routes.get((src, tgt))
+                if route is None:
+                    if src == tgt:
+                        route = (tgt, None, 0, None)
+                    else:
                         path = self.topology.path(src, tgt)
                         chain = tuple(
                             self.bus_units[(min(a, b), min(a, b) + 1)]
                             for a, b in zip(path, path[1:])
                         )
-                        route = (path, 1 if tgt > src else -1, chain)
-                        routes[(src, tgt)] = route
-                else:
-                    route = (None, 0, None)
-                jobs.append(
-                    tuple(
-                        _FastJob(
-                            master.process,
-                            src,
-                            tgt,
-                            transfer,
-                            seq,
-                            route[0],
-                            route[1],
-                            route[2],
-                            master,
-                        )
-                        for seq in range(transfer.packages)
-                    )
-                )
+                        route = (tgt, path, 1 if tgt > src else -1, chain)
+                    routes[(src, tgt)] = route
+                transfer_routes.append(route)
             master.f_compute = tuple(compute_fs)
-            master.f_jobs = tuple(jobs)
-            master.f_packages = tuple(t.packages for t in master.transfers)
+            master.f_routes = tuple(transfer_routes)
             master.f_ntransfers = len(master.transfers)
 
     # ------------------------------------------------------------------ loop
 
     def _run_loop(self) -> None:
-        """Drain the queue with the heap inlined into the loop body."""
+        """Drain the queue with the heap inlined into the loop body.
+
+        ``executed`` counts the queued events; ``queue.executed`` adds the
+        virtual CA checks the run passed, so it is the logical count the
+        stepped engine reports.  The event budget is checked against that
+        logical count.  Virtual checks add at most one event per queued
+        one, so while fewer than a third of ``max_events`` events have run
+        the budget cannot be reached; from there on every check is real
+        and the budget error is raised at the very event the stepped
+        engine raises it.  A watchdog observes every event and a
+        ``timeout_ticks`` policy sweeps the CA queue at CA priority, so
+        both keep every check real from the start.
+        """
         queue = self.queue
         heap = queue.heap
         budget = self.config.max_events
         horizon_fs = self._ca_period * self.config.max_ticks
         watchdog = self.watchdog
+        limit = budget // 3
+        if watchdog is None and not self._has_timeout and limit > 0:
+            self._ca_virtual_limit_fs = horizon_fs
+        else:
+            limit = budget
         executed = 0
+        entry = None
         pop = heappop
         # ``queue.executed`` is written back on every exit path (the
         # finally) instead of per event — nothing reads it mid-run
@@ -309,47 +321,88 @@ class FastSimulation(Simulation):
                         stalled_elements=self.stalled_elements(),
                     )
                 entry[4]()
-                if executed >= budget:
-                    raise StallError(
-                        f"event budget exhausted after {budget} events at "
-                        f"t={queue.now_fs} fs — model livelock?",
-                        pending=self.pending_work(),
-                        last_progress_tick=self.ca.clock.ticks(
-                            self.last_progress_fs
-                        ),
-                        stalled_elements=self.stalled_elements(),
-                    )
+                if executed >= limit:
+                    if self._ca_virtual_limit_fs >= 0:
+                        self._end_virtual_checks(entry)
+                        limit = budget - self._ca_virtual_count
+                    if executed >= limit:
+                        raise StallError(
+                            f"event budget exhausted after {budget} events "
+                            f"at t={queue.now_fs} fs — model livelock?",
+                            pending=self.pending_work(),
+                            last_progress_tick=self.ca.clock.ticks(
+                                self.last_progress_fs
+                            ),
+                            stalled_elements=self.stalled_elements(),
+                        )
                 if watchdog is not None:
                     queue.executed = executed
                     watchdog.observe(self)
+            # drained: a virtual check still pending was the last event
+            virtual = self._ca_virtual_fs
+            if virtual >= 0:
+                self._ca_virtual_fs = -1
+                self._ca_virtual_count += 1
+                if virtual > queue.now_fs:
+                    queue.now_fs = virtual
         finally:
-            queue.executed = executed
+            if entry is not None:
+                # after a raise in ``entry``, a check that preceded it has
+                # run (a drained run settled its pending check above)
+                self._end_virtual_checks(entry)
+            queue.executed = executed + self._ca_virtual_count
+
+    def _end_virtual_checks(self, entry: list) -> None:
+        """Make every later CA check real; ``entry`` is the event just run.
+
+        A pending virtual check that precedes it has run and is counted;
+        any other becomes a heap entry at its own time.
+        """
+        self._ca_virtual_limit_fs = -1
+        virtual = self._ca_virtual_fs
+        if virtual < 0:
+            return
+        self._ca_virtual_fs = -1
+        if (virtual, PRIO_CA) < (entry[0], entry[1]):
+            self._ca_virtual_count += 1
+            return
+        queue = self.queue
+        queue.seq = seq = queue.seq + 1
+        entry = [virtual, PRIO_CA, seq, False, self._ca_check_action]
+        heappush(queue.heap, entry)
+        self._ca_entry = entry
 
     def _release(self) -> None:
-        """Also drop the prebound actions and the per-package jobs.
+        """Also drop the prebound actions.
 
-        Each action is bound to the simulation, and each job points at its
-        master, which holds the jobs.  A run that raised may leave jobs
-        queued on a segment, which the master's ``f_segment`` reaches.
+        Each action is bound to the simulation.  A run that raised may
+        leave jobs queued on a segment; each job points at its master,
+        whose ``f_segment`` reaches that segment.
         """
         super()._release()
-        self._fire_meta.clear()
         self._ca_check_action = None
         for segment in self.segments.values():
             segment.f_sa_action = segment.f_intra_action = None
             segment.f_sa_entry = None
         for master in self.masters.values():
-            master.f_action = master.f_jobs = master.f_segment = None
+            master.f_action = master.f_segment = None
 
     # ------------------------------------------------------------------ firing
 
     def _schedule_fire(self, process: str, enable_fs: int) -> None:
-        p, action = self._fire_meta[process]
+        # each process fires once: its action is made here, not prebound
+        p = self._seg_by_index[self.spec.placement[process]].f_period
         queue = self.queue
         queue.seq = seq = queue.seq + 1
         heappush(
             queue.heap,
-            [(enable_fs // p + 1) * p, PRIO_STATE, seq, False, action],
+            [
+                (enable_fs // p + 1) * p,
+                PRIO_STATE,
+                seq,
+                False,
+                partial(self._on_fire, process),
+            ],
         )
 
     def _on_fire(self, process: str) -> None:
@@ -408,17 +461,29 @@ class FastSimulation(Simulation):
         )
 
     def _on_compute_done(self, master) -> None:
-        now = self.queue.now_fs
-        if master.failed:
-            master.computing = False
-            return
+        queue = self.queue
+        now = queue.now_fs
         master.computing = False
+        if master.failed:
+            return
         master.waiting_grant = True
-        job = master.f_jobs[master.transfer_index][master.package_index]
+        index = master.transfer_index
+        target, path, direction, chain = master.f_routes[index]
+        job = _FastJob(
+            master.process,
+            master.segment_index,
+            target,
+            master.transfers[index],
+            master.package_index,
+            path,
+            direction,
+            chain,
+            master,
+        )
         if self.tracer is not None:
             self.tracer.record(now, "request", master.process, job.label)
         segment = master.f_segment
-        if job.path is not None:
+        if path is not None:
             segment.counters.inter_requests += 1
             self.ca.counters.inter_requests += 1
             self.ca.queue.append(job)
@@ -426,15 +491,27 @@ class FastSimulation(Simulation):
                 self._ca_wait_since[self._job_key(job)] = now
                 self._arm_timeout_sweep(now)
             self._schedule_ca_check(now)
-        else:
-            segment.pending_intra.append(job)
-            if (
-                segment.locked
-                or segment.bus_busy_until_fs > now
-                or segment.next_grant_fs > now
-            ):
-                segment.counters.intra_requests += 1
-            self._schedule_sa_check(segment, now)
+            return
+        segment.pending_intra.append(job)
+        # the SA check, inline: _schedule_sa_check(segment, now)
+        at = now
+        if segment.bus_busy_until_fs > at:
+            at = segment.bus_busy_until_fs
+        if segment.next_grant_fs > at:
+            at = segment.next_grant_fs
+        if segment.locked or at > now:
+            segment.counters.intra_requests += 1
+        p = segment.f_period
+        at = -(-at // p) * p
+        entry = segment.f_sa_entry
+        if entry is not None and not entry[3]:
+            if entry[0] <= at:
+                return
+            entry[3] = True
+        queue.seq = seq = queue.seq + 1
+        entry = [at, PRIO_SA, seq, False, segment.f_sa_action]
+        heappush(queue.heap, entry)
+        segment.f_sa_entry = entry
 
     # ------------------------------------------------------------------ SA side
 
@@ -515,40 +592,77 @@ class FastSimulation(Simulation):
         A segment's bus serves one intra transfer at a time — the grant
         marks the bus busy until this very event, and same-time SA checks
         pop after it (PRIO_STATE < PRIO_SA) — so a single job slot per
-        segment replaces the stepped engine's per-grant closure.
+        segment replaces the stepped engine's per-grant closure.  The
+        delivery, the master's advance and (fault-free) its next compute
+        are ``_deliver``, ``_advance_master`` and ``_start_compute``
+        inline, in the same order.
         """
         job = segment.f_intra_job
         segment.f_intra_job = None
-        now = self.queue.now_fs
+        queue = self.queue
+        now = queue.now_fs
         master = job.mrt
         segment.next_grant_fs = now + segment.f_turnaround
-        if self.faults is not None and self.faults.corrupt_package(
-            segment.index
-        ):
+        faults = self.faults
+        tracer = self.tracer
+        if faults is not None and faults.corrupt_package(segment.index):
             segment.counters.nacks += 1
-            if self.tracer is not None:
-                self.tracer.record(
-                    now, "nack", f"Segment{segment.index}", job.label
-                )
+            if tracer is not None:
+                tracer.record(now, "nack", f"Segment{segment.index}", job.label)
             self._fail_intra(job, segment, now)
-            if segment.pending_intra or segment.pending_bu:
-                self._schedule_sa_check(segment, now)
-            self._schedule_ca_check(now)
-            if now > self.global_end_fs:
-                self.global_end_fs = now
-            return
-        master.waiting_grant = False
-        master.counters.packages_sent += 1
-        if self._resilient:
-            self._clear_retry_state(job)
-        if self.tracer is not None:
-            self.tracer.record(
-                now, "transfer_done", f"Segment{segment.index}", job.label
-            )
-        self._deliver(job.transfer.target, now)
-        self._advance_master(master, now, True)
-        self.progress_count += 1
-        self.last_progress_fs = now
+        else:
+            master.waiting_grant = False
+            master.counters.packages_sent += 1
+            if self._resilient:
+                self._clear_retry_state(job)
+            target = job.transfer.target
+            if tracer is not None:
+                tracer.record(
+                    now, "transfer_done", f"Segment{segment.index}", job.label
+                )
+                tracer.record(now, "deliver", target)
+            counters = self.process_counters[target]
+            counters.packages_received += 1
+            counters.last_input_fs = now
+            if (
+                counters.start_fs is None
+                and counters.packages_received >= counters.expected_inputs
+            ):
+                self._schedule_fire(target, now)
+            package = master.package_index + 1
+            transfer = master.transfer_index
+            if package >= master.transfers[transfer].packages:
+                package = 0
+                master.transfer_index = transfer = transfer + 1
+            master.package_index = package
+            if transfer < master.f_ntransfers:
+                if faults is not None:
+                    # a dead master or an injected stall: the general path
+                    self._start_compute(master, now)
+                else:
+                    master.computing = True
+                    p = master.f_period
+                    queue.seq = seq = queue.seq + 1
+                    heappush(
+                        queue.heap,
+                        [
+                            -(-now // p) * p + master.f_compute[transfer],
+                            PRIO_STATE,
+                            seq,
+                            False,
+                            master.f_action,
+                        ],
+                    )
+            elif (
+                master.outstanding_deliveries == 0
+                and not master.counters.done
+            ):
+                master.counters.done = True
+                master.counters.end_fs = now
+                if tracer is not None:
+                    tracer.record(now, "process_done", master.process)
+            self.progress_count += 1
+            self.last_progress_fs = now
         if segment.pending_intra or segment.pending_bu:
             self._schedule_sa_check(segment, now)
         self._schedule_ca_check(now)
@@ -563,13 +677,41 @@ class FastSimulation(Simulation):
     # ------------------------------------------------------------------ CA side
 
     def _schedule_ca_check(self, t_fs: int) -> None:
+        """Schedule the CA check at the first CA edge at or after ``t_fs``.
+
+        Earliest wins, as in the stepped engine.  A check scheduled while
+        the CA queue is empty, within the run's virtual limit (see
+        :meth:`_run_loop`), is *virtual*: it keeps only its time, takes no
+        sequence number and would find nothing to do.  It has run iff it
+        lies before the running event; every caller that can meet one runs
+        at ``PRIO_STATE`` (below ``PRIO_CA``), so that is iff its time is
+        before now.  Once run, it is counted as one executed event.  A job
+        entering the CA queue turns the pending check into a heap entry at
+        its own time; with no other ``PRIO_CA`` entry queued (timeout
+        sweeps keep checks real), the fresh sequence number cannot change
+        the order.
+        """
         p = self._ca_period
         at = -(-t_fs // p) * p
-        entry = self._ca_entry
-        if entry is not None and not entry[3]:
-            if entry[0] <= at:
-                return
-            entry[3] = True
+        virtual = self._ca_virtual_fs
+        if virtual >= 0:
+            self._ca_virtual_fs = -1
+            if virtual < self.queue.now_fs:
+                self._ca_virtual_count += 1
+            elif virtual <= at:
+                if not self.ca.queue:
+                    self._ca_virtual_fs = virtual
+                    return
+                at = virtual
+        else:
+            entry = self._ca_entry
+            if entry is not None and not entry[3]:
+                if entry[0] <= at:
+                    return
+                entry[3] = True
+        if not self.ca.queue and at <= self._ca_virtual_limit_fs:
+            self._ca_virtual_fs = at
+            return
         queue = self.queue
         queue.seq = seq = queue.seq + 1
         entry = [at, PRIO_CA, seq, False, self._ca_check_action]
@@ -670,11 +812,13 @@ class FastSimulation(Simulation):
         fill_end = fill_start + source.f_fill
         source.bus_busy_until_fs = fill_end
         counters = source.counters
-        counters.busy_intervals.append((fill_start, fill_end))
+        # the segment and the BU share one (immutable) interval tuple
+        interval = (fill_start, fill_end)
+        counters.busy_intervals.append(interval)
         counters.busy_fs += fill_end - fill_start
         if fill_end > counters.quiesce_fs:
             counters.quiesce_fs = fill_end
-        job.chain[0].counters.busy_intervals.append((fill_start, fill_end))
+        job.chain[0].counters.busy_intervals.append(interval)
         self.queue.schedule(
             fill_end, partial(self._on_fill_done, job, path), PRIO_STATE
         )
@@ -755,11 +899,12 @@ class FastSimulation(Simulation):
             u_end = u_start_fs + segment.f_hop_transit
         segment.bus_busy_until_fs = u_end
         counters = segment.counters
-        counters.busy_intervals.append((u_start_fs, u_end))
+        interval = (u_start_fs, u_end)
+        counters.busy_intervals.append(interval)
         counters.busy_fs += u_end - u_start_fs
         if u_end > counters.quiesce_fs:
             counters.quiesce_fs = u_end
-        bu_prev.counters.busy_intervals.append((u_start_fs, u_end))
+        bu_prev.counters.busy_intervals.append(interval)
         self.queue.schedule(
             u_end, partial(self._on_hop_done, job, path, index), PRIO_STATE
         )
@@ -886,7 +1031,8 @@ class FastSimulation(Simulation):
 
     def _advance_master(self, master, now_fs: int, delivered: bool) -> None:
         master.package_index += 1
-        if master.package_index >= master.f_packages[master.transfer_index]:
+        transfer = master.transfers[master.transfer_index]
+        if master.package_index >= transfer.packages:
             master.package_index = 0
             master.transfer_index += 1
         if master.transfer_index < master.f_ntransfers:

@@ -1090,13 +1090,8 @@ class Simulation:
             )
 
     def _finalize_counters(self) -> None:
-        for segment in self.segments.values():
-            quiesce = segment.counters.quiesce_fs
-            segment.counters.busy_fs = sum(
-                e - s for s, e in segment.counters.busy_intervals
-            )
-            # SA TCT: every own-clock cycle from start until segment quiesce.
-            segment.counters.quiesce_fs = quiesce
+        # each segment's ``busy_fs`` is already the running sum of its busy
+        # intervals (every one is added as it is recorded)
         self.ca.counters.tct = (
             self.ca.clock.ticks(self.global_end_fs) + self.config.ca_epilogue_ticks
         )

@@ -11,6 +11,7 @@ text layout via :meth:`format_listing`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import List, Optional, Tuple
 
 from repro.emulator.kernel import Simulation
@@ -213,12 +214,14 @@ class EmulationReport:
 
         Pins every reported counter at once; the golden-trace store uses it
         next to the trace and timeline digests so counter drift is caught
-        even when the event stream is unchanged.
+        even when the event stream is unchanged.  The hashed text is
+        ``to_json(indent=0)``'s, emitted by :func:`_emit_json`.
         """
         import hashlib
 
-        payload = self.to_json(indent=0).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        parts: List[str] = []
+        _emit_json(self.to_dict(), parts)
+        return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()
 
     # -- presentation -----------------------------------------------------------
 
@@ -371,3 +374,82 @@ def build_report(sim: Simulation) -> EmulationReport:
             else None
         ),
     )
+
+
+_INFINITY = float("inf")
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+def _emit_json(value, parts: List[str]) -> None:
+    """Append ``json.dumps(value, indent=0, sort_keys=True)``'s text.
+
+    The same text, byte for byte, but without the standard library's
+    indenting encoder: that encoder is pure Python, and its nested
+    closures form a reference cycle on every call, which only the cyclic
+    collector frees.  This emitter is one plain recursive function.
+    """
+    if isinstance(value, str):
+        parts.append(_json_string(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        parts.append("[\n")
+        for index, item in enumerate(value):
+            if index:
+                parts.append(",\n")
+            _emit_json(item, parts)
+        parts.append("\n]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        parts.append("{\n")
+        for index, (key, item) in enumerate(sorted(value.items())):
+            if index:
+                parts.append(",\n")
+            parts.append(_json_string(_json_key(key)))
+            parts.append(": ")
+            _emit_json(item, parts)
+        parts.append("\n}")
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )

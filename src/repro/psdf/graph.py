@@ -50,8 +50,8 @@ class PSDFGraph:
         self._flows: List[PacketFlow] = sorted(
             flows, key=lambda f: (f.order, f.source, f.target)
         )
-        self._outgoing: Dict[str, List[PacketFlow]] = {p: [] for p in self._processes}
-        self._incoming: Dict[str, List[PacketFlow]] = {p: [] for p in self._processes}
+        outgoing: Dict[str, List[PacketFlow]] = {p: [] for p in self._processes}
+        incoming: Dict[str, List[PacketFlow]] = {p: [] for p in self._processes}
         seen: set = set()
         for flow in self._flows:
             for endpoint in (flow.source, flow.target):
@@ -67,8 +67,16 @@ class PSDFGraph:
                     f"{flow.order}; aggregate the data items into one flow"
                 )
             seen.add(key)
-            self._outgoing[flow.source].append(flow)
-            self._incoming[flow.target].append(flow)
+            outgoing[flow.source].append(flow)
+            incoming[flow.target].append(flow)
+        # tuples: the accessors hand them out as they are
+        self._outgoing: Dict[str, Tuple[PacketFlow, ...]] = {
+            p: tuple(flows) for p, flows in outgoing.items()
+        }
+        self._incoming: Dict[str, Tuple[PacketFlow, ...]] = {
+            p: tuple(flows) for p, flows in incoming.items()
+        }
+        self._topological_order: Optional[Tuple[str, ...]] = None
         self._check_acyclic()
         self._check_stereotypes()
 
@@ -165,13 +173,17 @@ class PSDFGraph:
 
     def outgoing(self, source: str) -> Tuple[PacketFlow, ...]:
         """Flows emitted by ``source``, in ascending T order."""
-        self.process(source)
-        return tuple(self._outgoing[source])
+        try:
+            return self._outgoing[source]
+        except KeyError:
+            raise PSDFError(f"unknown process {source!r}") from None
 
     def incoming(self, target: str) -> Tuple[PacketFlow, ...]:
         """Flows consumed by ``target``, in ascending T order."""
-        self.process(target)
-        return tuple(self._incoming[target])
+        try:
+            return self._incoming[target]
+        except KeyError:
+            raise PSDFError(f"unknown process {target!r}") from None
 
     def initial_processes(self) -> Tuple[Process, ...]:
         """Processes with no incoming flows (fire at t = 0)."""
@@ -194,7 +206,12 @@ class PSDFGraph:
         return tuple(sorted({f.order for f in self._flows}))
 
     def topological_order(self) -> Tuple[str, ...]:
-        """Process names in a deterministic topological order."""
+        """Process names in a deterministic topological order.
+
+        Computed on the first call and kept: the graph never changes.
+        """
+        if self._topological_order is not None:
+            return self._topological_order
         indegree = {name: len(self._incoming[name]) for name in self._processes}
         ready = sorted(name for name, deg in indegree.items() if deg == 0)
         out: List[str] = []
@@ -211,7 +228,8 @@ class PSDFGraph:
                     ready.insert(lo, flow.target)
         if len(out) != len(self._processes):  # pragma: no cover - guarded in ctor
             raise PSDFError("graph contains a cycle")
-        return tuple(out)
+        self._topological_order = tuple(out)
+        return self._topological_order
 
     def depth(self) -> int:
         """Length (in edges) of the longest path — the pipeline depth."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List, Optional
 from xml.etree import ElementTree as ET
 
 from repro.errors import XMLFormatError
@@ -91,21 +91,47 @@ class SchemaDocument:
     top_level: List[Element] = field(default_factory=list)
     complex_types: List[ComplexType] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # name -> first type of that name in ``complex_types``, and the list
+        # (and its length) the index was built from
+        self._by_name: Dict[str, ComplexType] = {}
+        self._indexed: Optional[List[ComplexType]] = None
+        self._indexed_len = 0
+
+    def _types_by_name(self) -> Dict[str, ComplexType]:
+        """The name index, rebuilt when ``complex_types`` was edited directly.
+
+        A reassigned list, or one grown or shrunk in place, is re-indexed;
+        :meth:`add_complex_type` keeps the index current itself.
+        """
+        types = self.complex_types
+        if types is not self._indexed or len(types) != self._indexed_len:
+            by_name: Dict[str, ComplexType] = {}
+            for ctype in types:
+                by_name.setdefault(ctype.name, ctype)
+            self._by_name = by_name
+            self._indexed = types
+            self._indexed_len = len(types)
+        return self._by_name
+
     def add_top_level(self, name: str, type_: str) -> "SchemaDocument":
         self.top_level.append(Element(name=name, type=type_))
         return self
 
     def add_complex_type(self, ctype: ComplexType) -> ComplexType:
-        if any(existing.name == ctype.name for existing in self.complex_types):
+        by_name = self._types_by_name()
+        if ctype.name in by_name:
             raise XMLFormatError(f"duplicate complexType {ctype.name!r}")
         self.complex_types.append(ctype)
+        by_name[ctype.name] = ctype
+        self._indexed_len += 1
         return ctype
 
     def complex_type(self, name: str) -> ComplexType:
-        for ctype in self.complex_types:
-            if ctype.name == name:
-                return ctype
-        raise XMLFormatError(f"scheme has no complexType {name!r}")
+        ctype = self._types_by_name().get(name)
+        if ctype is None:
+            raise XMLFormatError(f"scheme has no complexType {name!r}")
+        return ctype
 
     def type_names(self) -> List[str]:
         return [c.name for c in self.complex_types]

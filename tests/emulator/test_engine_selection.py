@@ -26,8 +26,9 @@ class TestResolveEngine:
         assert resolve_engine(None) == "fast"
 
     def test_default_when_unset(self, monkeypatch):
+        # users meet the fast engine; stepped stays the normative reference
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine() == DEFAULT_ENGINE == "stepped"
+        assert resolve_engine() == DEFAULT_ENGINE == "fast"
 
     def test_empty_env_var_means_default(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "")

@@ -123,6 +123,26 @@ def test_a_dropped_run_is_freed_by_reference_counting(case, engine):
         assert gc.collect() == 0
 
 
+def test_served_emulate_jobs_leave_nothing():
+    # the report digest's indented JSON text used to come from the stdlib's
+    # pure-Python encoder, whose closures left 33 cyclic objects per job
+    from repro.serve.jobs import execute_job, parse_job, response_bytes
+    from repro.xmlio.psdf_writer import psdf_to_xml
+    from repro.xmlio.psm_writer import psm_to_xml
+
+    platform = paper_platform(2)
+    payload = {
+        "kind": "emulate",
+        "psdf_xml": psdf_to_xml(mp3_decoder_psdf(), platform.package_size),
+        "psm_xml": psm_to_xml(platform),
+    }
+    expected = response_bytes(execute_job(parse_job(payload)))
+    with collector_off():
+        for _ in range(3):
+            assert response_bytes(execute_job(parse_job(payload))) == expected
+        assert gc.collect() == 0
+
+
 class TestLintCatalogue:
     def test_two_lint_calls_leave_nothing_and_build_once(self, monkeypatch):
         builds = []

@@ -213,3 +213,63 @@ class TestZeroHitClones:
             **self.GRID,
         )
         assert resumed.as_dict() == direct.as_dict()
+
+
+class TestOneFaultFreeRun:
+    """The counting reference doubles as the baseline when it can."""
+
+    GRID = dict(rates=[0.0], seeds=(1, 2), workers=1)
+
+    @staticmethod
+    def _sweep_counting_runs(mp3_graph, platform_3seg, monkeypatch, policy):
+        from repro.emulator.kernel import Simulation
+
+        runs = []
+        real_run = Simulation.run
+
+        def counted(sim):
+            runs.append(type(sim).__name__)
+            return real_run(sim)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Simulation, "run", counted)
+            curve = reliability_sweep(
+                mp3_graph,
+                platform_3seg,
+                retry_policy=policy,
+                **TestOneFaultFreeRun.GRID,
+            )
+        return curve, len(runs)
+
+    def test_without_timeout_the_reference_is_the_baseline(
+        self, mp3_graph, platform_3seg, monkeypatch
+    ):
+        from repro.emulator.emulator import emulate
+
+        curve, runs = self._sweep_counting_runs(
+            mp3_graph,
+            platform_3seg,
+            monkeypatch,
+            RetryPolicy(on_exhaustion="degrade"),
+        )
+        # both rate-0 points are cloned: the counting reference is the
+        # sweep's only kernel run (a separate baseline made it two)
+        assert runs == 1
+        expected = emulate(mp3_graph, platform_3seg).execution_time_us
+        assert curve.baseline_execution_time_us == expected
+        assert curve.point_at(0.0).overhead_pct == 0.0
+
+    def test_a_timeout_policy_keeps_the_separate_baseline(
+        self, mp3_graph, platform_3seg, monkeypatch
+    ):
+        from repro.emulator.emulator import emulate
+
+        curve, runs = self._sweep_counting_runs(
+            mp3_graph,
+            platform_3seg,
+            monkeypatch,
+            RetryPolicy(timeout_ticks=100_000, on_exhaustion="degrade"),
+        )
+        assert runs == 2
+        expected = emulate(mp3_graph, platform_3seg).execution_time_us
+        assert curve.baseline_execution_time_us == expected

@@ -18,6 +18,7 @@ from repro.emulator.fastkernel import FastSimulation
 from repro.emulator.kernel import PlatformSpec, Simulation
 from repro.emulator.report import build_report
 from repro.emulator.trace import Tracer
+from repro.errors import StallError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.testing.generators import generate_model
 
@@ -153,3 +154,35 @@ class TestFaultedEquivalence:
                 max_attempts=6, timeout_ticks=400, on_exhaustion="degrade"
             ),
         )
+
+
+def _budgeted(engine_cls, application, spec, config):
+    """A run's end under a budget: its digest, or the StallError text."""
+    sim = engine_cls(application, spec, config)
+    try:
+        sim.run()
+    except StallError as exc:
+        return "stall", str(exc), sim.queue.executed, sim.queue.now_fs
+    digest = build_report(sim).digest()
+    return "done", digest, sim.queue.executed, sim.queue.now_fs
+
+
+class TestBudgetEquivalence:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(min_value=1, max_value=50_000),
+        offset=st.integers(min_value=-12, max_value=2),
+    )
+    def test_event_budget_near_the_run_length(self, seed, offset):
+        # the fast engine counts empty CA checks instead of queueing them;
+        # a budget that ends the run at, just before or just after its
+        # last events must stop both engines at the same logical event
+        model = generate_model(seed)
+        spec = PlatformSpec.from_platform(model.platform)
+        events = Simulation(model.application, spec).run().queue.executed
+        config = EmulationConfig(max_events=max(1, events + offset))
+        stepped, fast = (
+            _budgeted(engine_cls, model.application, spec, config)
+            for engine_cls in ENGINES
+        )
+        assert fast == stepped

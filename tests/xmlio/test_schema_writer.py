@@ -114,3 +114,71 @@ class TestSerialization:
         </xs:schema>"""
         doc = SchemaDocument.from_xml(text)
         assert doc.complex_type("X").child("a").type == "A"
+
+
+def chain_scheme(types: int) -> str:
+    """A scheme of ``types`` complex types, each referencing the next."""
+    doc = SchemaDocument()
+    doc.add_top_level("root", "T0")
+    for index in range(types):
+        ctype = ComplexType(f"T{index}")
+        if index + 1 < types:
+            ctype.add(f"c{index}", f"T{index + 1}")
+        doc.add_complex_type(ctype)
+    return doc.to_xml()
+
+
+class TestNameIndex:
+    def test_error_messages(self):
+        doc = sample_doc()
+        with pytest.raises(XMLFormatError, match="duplicate complexType 'CA'"):
+            doc.add_complex_type(ComplexType("CA"))
+        with pytest.raises(XMLFormatError, match="scheme has no complexType 'BU'"):
+            doc.complex_type("BU")
+
+    def test_direct_edits_of_the_type_list_are_seen(self):
+        doc = sample_doc()
+        assert doc.complex_type("SA1").name == "SA1"
+        doc.complex_types = [t for t in doc.complex_types if t.name != "SA1"]
+        with pytest.raises(XMLFormatError, match="no complexType 'SA1'"):
+            doc.complex_type("SA1")
+        first_ca = doc.complex_type("CA")
+        doc.complex_types.append(ComplexType("CA"))
+        doc.complex_types.append(ComplexType("BU12"))
+        # the first type of a name wins, as the scan did
+        assert doc.complex_type("CA") is first_ca
+        assert doc.complex_type("BU12").name == "BU12"
+        del doc.complex_types[-1]
+        with pytest.raises(XMLFormatError, match="no complexType 'BU12'"):
+            doc.complex_type("BU12")
+
+    def test_parsing_reads_each_name_a_bounded_number_of_times(
+        self, monkeypatch
+    ):
+        # a duplicate check or lookup that scans the list reads ~n^2/2
+        # names over n types; the index reads a few per type
+        from repro.xmlio import schema_writer
+
+        reads = []
+
+        class CountingType(ComplexType):
+            @property
+            def name(self):
+                reads.append(1)
+                return self._name
+
+            @name.setter
+            def name(self, value):
+                self._name = value
+
+        monkeypatch.setattr(schema_writer, "ComplexType", CountingType)
+        per_size = {}
+        for types in (500, 1000, 2000):
+            text = chain_scheme(types)
+            reads.clear()
+            doc = SchemaDocument.from_xml(text)
+            assert doc.complex_type(f"T{types - 1}").name == f"T{types - 1}"
+            per_size[types] = len(reads)
+        assert per_size[500] <= 4 * 500
+        assert per_size[1000] <= 2.2 * per_size[500]
+        assert per_size[2000] <= 2.2 * per_size[1000]
