@@ -418,13 +418,10 @@ def diagnose_contention(
     config: EmulationConfig = EmulationConfig(),
 ) -> ContentionDiagnosis:
     """Run both estimators and report the contention gap."""
-    from repro.emulator.fastkernel import (  # local import: avoid cycle
-        make_simulation,
-    )
+    from repro.emulator.emulator import emulate  # local import: avoid cycle
 
     analytic = analytic_estimate(application, spec, config)
-    emulated = make_simulation(application, spec, config).run()
     return ContentionDiagnosis(
         analytic_us=analytic.execution_time_us,
-        emulated_us=fs_to_us(emulated.execution_time_fs()),
+        emulated_us=emulate(application, spec, config).execution_time_us,
     )

@@ -4,6 +4,14 @@ The paper's methodology is comparative — run the same application over many
 platform configurations and choose.  A :class:`Campaign` makes that loop a
 first-class object: declare the variants, run them once, then export the
 result table as CSV, Markdown or JSON for the design log.
+
+:class:`Variant` is also the one job type every analysis hands the
+supervised executor: design-space exploration, the accuracy sweeps and
+the reliability sweeps build their grids from variants.
+:func:`emulate_variant` runs one through
+:func:`~repro.emulator.emulator.emulate`; the campaign's runner measures
+power on the same run, and an accuracy sweep's compares it with the
+reference.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.analysis.power import PowerCoefficients, estimate_power
 from repro.emulator.config import EmulationConfig
-from repro.emulator.emulator import SegBusEmulator
+from repro.emulator.emulator import emulate, simulate
+from repro.emulator.kernel import PlatformSpec
+from repro.emulator.report import EmulationReport, build_report
 from repro.errors import SegBusError
 from repro.model.elements import SegBusPlatform
 from repro.psdf.graph import PSDFGraph
@@ -30,15 +40,37 @@ class Variant:
 
     ``fault_plan``/``retry_policy`` optionally run the variant under fault
     injection (see :mod:`repro.faults`) — the reliability sweeps build their
-    grids out of such variants.
+    grids out of such variants.  ``platform`` may also be a
+    :class:`~repro.emulator.kernel.PlatformSpec` that a scheme routing
+    produced, which runs as given (see
+    :func:`~repro.emulator.emulator.emulate`); ``engine`` picks the
+    simulation kernel (default honours ``SEGBUS_ENGINE``).
     """
 
     name: str
     application: PSDFGraph
-    platform: SegBusPlatform
+    platform: Union[SegBusPlatform, PlatformSpec]
     config: EmulationConfig = field(default_factory=EmulationConfig)
     fault_plan: Optional[object] = None
     retry_policy: Optional[object] = None
+    engine: Optional[str] = None
+
+    @property
+    def label(self) -> str:
+        """The executor's name for this job."""
+        return self.name
+
+
+def emulate_variant(variant: Variant) -> EmulationReport:
+    """Emulate one variant (the executor's runner for plain reports)."""
+    return emulate(
+        variant.application,
+        variant.platform,
+        variant.config,
+        fault_plan=variant.fault_plan,
+        retry_policy=variant.retry_policy,
+        engine=variant.engine,
+    )
 
 
 @dataclass(frozen=True)
@@ -79,30 +111,22 @@ COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class _VariantTask:
-    """One variant plus the campaign's power model, picklable."""
+def _run_variant(variant: Variant) -> VariantResult:
+    """Emulate one variant and measure its power (worker-side).
 
-    variant: Variant
-    coefficients: PowerCoefficients
-
-    @property
-    def label(self) -> str:
-        return self.variant.name
-
-
-def _run_variant(task: _VariantTask) -> VariantResult:
-    """Emulate one variant and measure its power (worker-side)."""
-    variant = task.variant
-    emulator = SegBusEmulator.from_models(
+    The power model reads activity counters the report does not carry,
+    so this runner keeps the finished simulation.
+    """
+    simulation = simulate(
         variant.application,
         variant.platform,
-        config=variant.config,
+        variant.config,
         fault_plan=variant.fault_plan,
         retry_policy=variant.retry_policy,
+        engine=variant.engine,
     )
-    report = emulator.run()
-    power = estimate_power(emulator.simulation, task.coefficients)
+    report = build_report(simulation)
+    power = estimate_power(simulation, PowerCoefficients())
     return VariantResult(
         name=variant.name,
         segment_count=report.segment_count,
@@ -118,13 +142,8 @@ def _run_variant(task: _VariantTask) -> VariantResult:
 class Campaign:
     """A batch of emulation variants with uniform result reporting."""
 
-    def __init__(
-        self,
-        name: str,
-        power_coefficients: Optional[PowerCoefficients] = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.power_coefficients = power_coefficients or PowerCoefficients()
         self._variants: List[Variant] = []
         self._results: Optional[List[VariantResult]] = None
 
@@ -190,10 +209,6 @@ class Campaign:
         if self._results is None:
             if not self._variants:
                 raise SegBusError(f"campaign {self.name!r} has no variants")
-            tasks = [
-                _VariantTask(variant, self.power_coefficients)
-                for variant in self._variants
-            ]
             executor = CampaignExecutor(
                 _run_variant,
                 policy=executor_policy,
@@ -202,7 +217,9 @@ class Campaign:
                 checkpoint_name=checkpoint_name,
                 resume=resume,
             )
-            batch = executor.run(tasks).raise_on_failure(what="variant")
+            batch = executor.run(self._variants).raise_on_failure(
+                what="variant"
+            )
             self._results = list(batch.results)
         return list(self._results)
 

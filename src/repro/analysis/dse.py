@@ -10,13 +10,14 @@ package sizes × allocations), emulate each, and rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.analysis.campaign import Variant, emulate_variant
 from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.emulator.config import EmulationConfig
-from repro.emulator.emulator import emulate
 from repro.emulator.report import EmulationReport
+from repro.errors import SegBusError
 from repro.model.elements import SegBusPlatform
 from repro.model.mapping import Allocation, map_application
 from repro.placement.placetool import PlaceTool
@@ -41,25 +42,6 @@ class DesignPoint:
     @property
     def execution_time_us(self) -> float:
         return self.report.execution_time_us
-
-
-@dataclass(frozen=True)
-class _CandidateJob:
-    """One fully-mapped candidate, picklable for the executor.
-
-    The platform is mapped in the parent — ``segment_frequencies_mhz``
-    is an arbitrary callable and need not pickle — so the worker only
-    emulates.
-    """
-
-    label: str
-    application: PSDFGraph
-    platform: SegBusPlatform
-    config: Optional[EmulationConfig] = field(default=None)
-
-
-def _run_candidate(job: _CandidateJob) -> EmulationReport:
-    return emulate(job.application, job.platform, config=job.config)
 
 
 def explore_design_space(
@@ -94,7 +76,16 @@ def explore_design_space(
     per candidate) and only the best ``estimator_prune`` survivors are
     emulated — the estimator prunes, the engines confirm.  Returned points
     then carry their ``estimated_us``.
+
+    Each candidate is mapped in the parent — ``segment_frequencies_mhz``
+    is an arbitrary callable and need not pickle — and runs as one
+    :class:`~repro.analysis.campaign.Variant`.
     """
+    if estimator_prune is not None and estimator_prune < 1:
+        raise SegBusError(
+            f"estimator_prune must be >= 1, got {estimator_prune}"
+        )
+    config = config or EmulationConfig()
     tool = place_tool or PlaceTool()
     candidates: List[Tuple[str, Allocation]] = []
     for count in segment_counts:
@@ -103,7 +94,7 @@ def explore_design_space(
     for label, allocation in extra_allocations or ():
         candidates.append((label, allocation))
 
-    grid: List[Tuple[str, Allocation, int, _CandidateJob]] = []
+    grid: List[Tuple[str, Allocation, int, SegBusPlatform]] = []
     for label, allocation in candidates:
         count = allocation.segment_count
         for size in package_sizes:
@@ -114,34 +105,16 @@ def explore_design_space(
                 ca_frequency_mhz=ca_frequency_mhz,
                 package_size=size,
             )
-            grid.append(
-                (
-                    label,
-                    allocation,
-                    size,
-                    _CandidateJob(
-                        label=f"{label}|s{count}|p{size}",
-                        application=application,
-                        platform=psm.platform,
-                        config=config,
-                    ),
-                )
-            )
+            grid.append((label, allocation, size, psm.platform))
 
     estimates: List[Optional[float]] = [None] * len(grid)
     if estimator_prune is not None:
-        if estimator_prune < 1:
-            raise ValueError(
-                f"estimator_prune must be >= 1, got {estimator_prune}"
-            )
         from repro.analysis.stochastic import stochastic_estimate
         from repro.emulator.kernel import PlatformSpec
 
-        for index, (_label, _allocation, _size, job) in enumerate(grid):
+        for index, (_label, _allocation, _size, platform) in enumerate(grid):
             estimates[index] = stochastic_estimate(
-                job.application,
-                PlatformSpec.from_platform(job.platform),
-                job.config or EmulationConfig(),
+                application, PlatformSpec.from_platform(platform), config
             ).execution_time_us
         ranked = sorted(range(len(grid)), key=lambda i: estimates[i])
         survivors = sorted(ranked[:estimator_prune])
@@ -149,18 +122,28 @@ def explore_design_space(
         estimates = [estimates[i] for i in survivors]
 
     executor = CampaignExecutor(
-        _run_candidate,
+        emulate_variant,
         policy=executor_policy,
         workers=workers,
         checkpoint_dir=checkpoint_dir,
         checkpoint_name=checkpoint_name,
         resume=resume,
     )
-    batch = executor.run([job for _, _, _, job in grid])
+    batch = executor.run(
+        [
+            Variant(
+                f"{label}|s{allocation.segment_count}|p{size}",
+                application,
+                platform,
+                config,
+            )
+            for label, allocation, size, platform in grid
+        ]
+    )
     batch.raise_on_failure(what="design point")
 
     points: List[DesignPoint] = []
-    for (label, allocation, size, _job), report, estimated in zip(
+    for (label, allocation, size, _platform), report, estimated in zip(
         grid, batch.results, estimates
     ):
         points.append(

@@ -6,8 +6,9 @@ and its delivery at the target — per flow, with percentiles.  This is the
 quantitative view of the paper's "communication bottlenecks expressed as
 the time one package has to wait" Discussion, taken beyond the BU-average.
 
-Requires a traced run (``Simulation(..., tracer=Tracer())``): latencies are
-matched request→completion per flow label from the event stream.
+Requires a traced run (``make_simulation(..., tracer=Tracer())``):
+latencies are matched request→completion per flow label from the event
+stream.
 """
 
 from __future__ import annotations

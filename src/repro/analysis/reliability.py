@@ -11,8 +11,8 @@ seed population and measure
   fault-free baseline of the same configuration.
 
 The sweep reuses the campaign machinery's variant/export conventions: each
-(rate, seed) pair is one :class:`~repro.analysis.campaign.Variant`-shaped
-point, and the curve exports as CSV/Markdown exactly like a
+(rate, seed) pair is one :class:`~repro.analysis.campaign.Variant`, and the
+curve exports as CSV/Markdown exactly like a
 :class:`~repro.analysis.campaign.Campaign` table.
 """
 
@@ -21,16 +21,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.campaign import Variant, emulate_variant
 from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.emulator.config import EmulationConfig
-from repro.emulator.emulator import SegBusEmulator
-from repro.emulator.fastkernel import make_simulation, resolve_engine
-from repro.emulator.kernel import PlatformSpec
-from repro.emulator.report import build_report
+from repro.emulator.emulator import SegBusEmulator, emulate
+from repro.emulator.fastkernel import resolve_engine
 from repro.errors import FaultConfigError, SegBusError
 from repro.faults.model import KIND_CORRUPTION, TRANSIENT_KINDS, FaultPlan
 from repro.faults.policy import RetryPolicy
@@ -141,6 +140,7 @@ class ReliabilityCurve:
         return "\n".join([header, rule] + body)
 
 
+#: the :meth:`FaultPlan.transient` rate each transient kind sets
 _RATE_KW = {
     "package_corruption": "corruption_rate",
     "grant_loss": "grant_loss_rate",
@@ -149,36 +149,16 @@ _RATE_KW = {
 }
 
 
-@dataclass(frozen=True)
-class _ReliabilityJob:
-    """One (rate, seed) emulation, picklable for the campaign executor.
-
-    ``application`` and ``spec`` are what the sweep's emulator parsed from
-    the schemes, so every point runs on the same scheme-routed inputs as
-    the baseline and the counting reference.
-    """
-
-    label: str
-    application: PSDFGraph
-    spec: PlatformSpec
-    kind: str
-    rate: float
-    seed: int
-    stall_ticks: int
-    retry_policy: RetryPolicy
-    config: Optional[EmulationConfig] = field(default=None)
-    engine: Optional[str] = field(default=None)
-
-
-def _fault_plan(job: _ReliabilityJob) -> FaultPlan:
+def transient_plan(
+    kind: str, rate: float, seed: int, stall_ticks: int = 50
+) -> FaultPlan:
+    """The uniform plan of one sweep point: ``kind`` faults at ``rate``."""
     return FaultPlan.transient(
-        seed=job.seed,
-        stall_ticks=job.stall_ticks,
-        **{_RATE_KW[job.kind]: job.rate},
+        seed=seed, stall_ticks=stall_ticks, **{_RATE_KW[kind]: rate}
     )
 
 
-def _run_reliability_job(job: _ReliabilityJob) -> Dict[str, object]:
+def _run_reliability_job(variant: Variant) -> Dict[str, object]:
     """Emulate one sweep point; emulation-level failure is a *result*.
 
     A :class:`~repro.errors.SegBusError` (retry exhaustion under a
@@ -188,16 +168,7 @@ def _run_reliability_job(job: _ReliabilityJob) -> Dict[str, object]:
     ledger.
     """
     try:
-        report = build_report(
-            make_simulation(
-                job.application,
-                job.spec,
-                job.config,
-                engine=job.engine,
-                fault_plan=_fault_plan(job),
-                retry_policy=job.retry_policy,
-            ).run()
-        )
+        report = emulate_variant(variant)
     except SegBusError:
         return {"status": "failed"}
     return _report_outcome(report)
@@ -242,9 +213,11 @@ def reliability_sweep(
     (:meth:`SegBusEmulator.from_models
     <repro.emulator.emulator.SegBusEmulator.from_models>`); the
     fault-free baseline, the counting reference below and every
-    simulated point run on that emulator's ``application`` and ``spec``.
-    ``engine`` picks the simulation kernel (default honours
-    ``SEGBUS_ENGINE``).
+    simulated point run on that emulator's ``application`` and ``spec``
+    through :func:`~repro.emulator.emulator.emulate`, each point as a
+    :class:`~repro.analysis.campaign.Variant` carrying its own
+    :func:`transient_plan`.  ``engine`` picks the simulation kernel
+    (default honours ``SEGBUS_ENGINE``).
 
     Points whose fault streams provably never fire are not simulated: one
     counting reference run censuses the fault-draw opportunities of the
@@ -286,38 +259,31 @@ def reliability_sweep(
     policy = retry_policy or RetryPolicy(on_exhaustion="degrade")
     resolved = resolve_engine(engine)
     emulator = SegBusEmulator.from_models(application, platform, config=config)
+    routed = (emulator.application, emulator.spec, emulator.config)
+    census = CountingPlan()
     try:
-        reference = make_simulation(
-            emulator.application,
-            emulator.spec,
-            emulator.config,
-            engine=resolved,
-            fault_plan=CountingPlan(),
-            retry_policy=policy,
-        ).run()
+        reference_report = emulate(
+            *routed, fault_plan=census, retry_policy=policy, engine=resolved
+        )
     except SegBusError:  # e.g. a retry timeout exhausts fault-free
-        reference = None
-    reference_report = None
-    if reference is not None and not reference.degraded:
-        reference_report = build_report(reference)
+        reference_report = None
+    if reference_report is not None and reference_report.degraded:
+        reference_report = None
     if reference_report is not None and policy.timeout_ticks is None:
         # a fault-free run consults a policy only through its timeout, so
         # the reference ran exactly the baseline's events
         baseline_us = reference_report.execution_time_us
     else:
-        baseline_us = emulator.run(engine=resolved).execution_time_us
+        baseline_us = emulate(*routed, engine=resolved).execution_time_us
 
-    jobs = [
-        _ReliabilityJob(
-            label=f"{kind}@{rate:g}#s{seed}",
-            application=emulator.application,
-            spec=emulator.spec,
-            kind=kind,
-            rate=rate,
-            seed=seed,
-            stall_ticks=stall_ticks,
+    variants = [
+        Variant(
+            f"{kind}@{rate:g}#s{seed}",
+            emulator.application,
+            emulator.spec,
+            emulator.config,
+            fault_plan=transient_plan(kind, rate, seed, stall_ticks),
             retry_policy=policy,
-            config=emulator.config,
             engine=resolved,
         )
         for rate in rates
@@ -325,19 +291,19 @@ def reliability_sweep(
     ]
     if reference_report is None:
         # the fault-free run already fails or degrades: clone nothing
-        cloned = [False] * len(jobs)
+        cloned = [False] * len(variants)
     else:
         cloned = zero_hit(
-            [_fault_plan(job) for job in jobs], reference.faults.opportunities
+            [variant.fault_plan for variant in variants], census.opportunities
         )
-    simulated = [job for job, clone in zip(jobs, cloned) if not clone]
+    simulated = [v for v, clone in zip(variants, cloned) if not clone]
     batch = executor.run(simulated).raise_on_failure(what="reliability job")
-    outcomes = dict(zip((job.label for job in simulated), batch.results))
+    outcomes = dict(zip((v.name for v in simulated), batch.results))
     if any(cloned):
         reference_outcome = _report_outcome(reference_report)
-        for job, clone in zip(jobs, cloned):
+        for variant, clone in zip(variants, cloned):
             if clone:
-                outcomes[job.label] = reference_outcome
+                outcomes[variant.name] = reference_outcome
 
     points: List[ReliabilityPoint] = []
     for rate in rates:

@@ -8,11 +8,11 @@ benchmarks A1/A2 and the paper's 36-vs-18 experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.analysis.campaign import Variant
 from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
-from repro.emulator.config import EmulationConfig
 from repro.model.elements import SegBusPlatform
 from repro.model.mapping import Allocation, map_application
 from repro.psdf.graph import PSDFGraph
@@ -20,53 +20,50 @@ from repro.reference.accuracy import AccuracyResult, compare_estimate_to_referen
 
 PlatformFactory = Callable[[int], SegBusPlatform]
 
+#: one sweep sample before it runs: (label, parameter, platform)
+_Point = Tuple[str, int, SegBusPlatform]
 
-@dataclass(frozen=True)
-class _AccuracyJob:
-    """One estimate-vs-reference comparison, picklable for the executor.
 
-    Platforms are built in the parent (factories/frequency callables need
-    not pickle); the worker runs both the estimation and the reference
-    emulation and ships the :class:`AccuracyResult` back.
+def _run_accuracy_point(variant: Variant) -> AccuracyResult:
+    """Compare one point's estimate with its reference run (worker-side).
+
+    :func:`~repro.reference.accuracy.compare_estimate_to_reference` runs
+    both fidelities, so the variant's own configuration is not read.
     """
-
-    label: str
-    parameter: int
-    application: PSDFGraph
-    platform: SegBusPlatform
-    reference_config: Optional[EmulationConfig] = field(default=None)
-
-
-def _run_accuracy_job(job: _AccuracyJob) -> AccuracyResult:
     return compare_estimate_to_reference(
-        job.application,
-        job.platform,
-        label=job.label,
-        reference_config=job.reference_config,
+        variant.application, variant.platform, label=variant.name
     )
 
 
 def _sweep(
-    jobs: Sequence[_AccuracyJob],
+    application: PSDFGraph,
+    points: Sequence[_Point],
     workers: Optional[int],
     executor_policy: Optional[ExecutorPolicy],
     checkpoint_dir,
     checkpoint_name: Optional[str],
     resume: bool,
 ) -> Tuple[SweepPoint, ...]:
-    """Run the prepared comparison jobs and zip results back into points."""
+    """Run one comparison per point and zip the results back into points.
+
+    Platforms are built in the parent (factories and frequency callables
+    need not pickle); each point runs as one
+    :class:`~repro.analysis.campaign.Variant`.
+    """
     executor = CampaignExecutor(
-        _run_accuracy_job,
+        _run_accuracy_point,
         policy=executor_policy,
         workers=workers,
         checkpoint_dir=checkpoint_dir,
         checkpoint_name=checkpoint_name,
         resume=resume,
     )
-    batch = executor.run(list(jobs)).raise_on_failure(what="sweep point")
+    batch = executor.run(
+        [Variant(label, application, platform) for label, _, platform in points]
+    ).raise_on_failure(what="sweep point")
     return tuple(
-        SweepPoint(parameter=job.parameter, result=result)
-        for job, result in zip(jobs, batch.results)
+        SweepPoint(parameter=parameter, result=result)
+        for (_label, parameter, _platform), result in zip(points, batch.results)
     )
 
 
@@ -94,7 +91,6 @@ def package_size_sweep(
     application: PSDFGraph,
     platform_factory: PlatformFactory,
     package_sizes: Sequence[int],
-    reference_config: Optional[EmulationConfig] = None,
     workers: Optional[int] = None,
     executor_policy: Optional[ExecutorPolicy] = None,
     checkpoint_dir=None,
@@ -108,18 +104,17 @@ def package_size_sweep(
     checkpoint parameters route the sweep through the supervised campaign
     executor (see :mod:`repro.analysis.executor`).
     """
-    jobs = [
-        _AccuracyJob(
-            label=f"s={size}",
-            parameter=size,
-            application=application,
-            platform=platform_factory(size),
-            reference_config=reference_config,
-        )
-        for size in package_sizes
+    points = [
+        (f"s={size}", size, platform_factory(size)) for size in package_sizes
     ]
     return _sweep(
-        jobs, workers, executor_policy, checkpoint_dir, checkpoint_name, resume
+        application,
+        points,
+        workers,
+        executor_policy,
+        checkpoint_dir,
+        checkpoint_name,
+        resume,
     )
 
 
@@ -130,7 +125,6 @@ def frequency_sweep(
     ca_frequency_mhz: float,
     package_size: int,
     scales: Sequence[float],
-    reference_config: Optional[EmulationConfig] = None,
     workers: Optional[int] = None,
     executor_policy: Optional[ExecutorPolicy] = None,
     checkpoint_dir=None,
@@ -144,7 +138,7 @@ def frequency_sweep(
     compute-bound: beyond the knee, faster clocks stop paying off because
     inter-segment transfers and the CA dominate.
     """
-    jobs: List[_AccuracyJob] = []
+    points: List[_Point] = []
     for scale in scales:
         frequencies = [mhz * scale for mhz in base_frequencies_mhz]
         psm = map_application(
@@ -154,17 +148,15 @@ def frequency_sweep(
             ca_frequency_mhz=ca_frequency_mhz,
             package_size=package_size,
         )
-        jobs.append(
-            _AccuracyJob(
-                label=f"x{scale:g}",
-                parameter=int(round(scale * 100)),
-                application=application,
-                platform=psm.platform,
-                reference_config=reference_config,
-            )
-        )
+        points.append((f"x{scale:g}", int(round(scale * 100)), psm.platform))
     return _sweep(
-        jobs, workers, executor_policy, checkpoint_dir, checkpoint_name, resume
+        application,
+        points,
+        workers,
+        executor_policy,
+        checkpoint_dir,
+        checkpoint_name,
+        resume,
     )
 
 
@@ -174,7 +166,6 @@ def segment_count_sweep(
     segment_frequencies_mhz: Callable[[int], Sequence[float]],
     ca_frequency_mhz: float,
     package_size: int,
-    reference_config: Optional[EmulationConfig] = None,
     workers: Optional[int] = None,
     executor_policy: Optional[ExecutorPolicy] = None,
     checkpoint_dir=None,
@@ -182,7 +173,7 @@ def segment_count_sweep(
     resume: bool = False,
 ) -> Tuple[SweepPoint, ...]:
     """Run the application on each allocation (one per segment count)."""
-    jobs: List[_AccuracyJob] = []
+    points: List[_Point] = []
     for allocation in allocations:
         count = allocation.segment_count
         psm = map_application(
@@ -192,15 +183,13 @@ def segment_count_sweep(
             ca_frequency_mhz=ca_frequency_mhz,
             package_size=package_size,
         )
-        jobs.append(
-            _AccuracyJob(
-                label=f"{count} segment(s)",
-                parameter=count,
-                application=application,
-                platform=psm.platform,
-                reference_config=reference_config,
-            )
-        )
+        points.append((f"{count} segment(s)", count, psm.platform))
     return _sweep(
-        jobs, workers, executor_policy, checkpoint_dir, checkpoint_name, resume
+        application,
+        points,
+        workers,
+        executor_policy,
+        checkpoint_dir,
+        checkpoint_name,
+        resume,
     )

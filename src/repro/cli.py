@@ -241,7 +241,8 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.emulator.kernel import PlatformSpec, Simulation
+    from repro.emulator.fastkernel import make_simulation
+    from repro.emulator.kernel import PlatformSpec
     from repro.emulator.trace import Tracer, export_vcd
 
     application = mp3_decoder_psdf()
@@ -249,7 +250,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         segment_count=args.segments, package_size=args.package_size
     )
     tracer = Tracer()
-    sim = Simulation(
+    sim = make_simulation(
         application, PlatformSpec.from_platform(platform), tracer=tracer
     ).run()
     export_vcd(sim, path=args.output)
@@ -361,11 +362,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.analysis.reliability import reliability_sweep
+    from repro.analysis.reliability import reliability_sweep, transient_plan
     from repro.apps.jpeg import jpeg_decoder_psdf, jpeg_platform
     from repro.faults import RetryPolicy
     from repro.xmlio.faults_xml import fault_plan_to_xml
-    from repro.faults.model import FaultPlan
 
     if args.app == "mp3":
         application = mp3_decoder_psdf()
@@ -401,13 +401,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         curve.to_csv(args.csv)
         print(f"\nwrote {args.csv}")
     if args.plan_xml:
-        rate_kw = {
-            "package_corruption": "corruption_rate",
-            "grant_loss": "grant_loss_rate",
-            "fu_stall": "stall_rate",
-            "bu_drop": "bu_drop_rate",
-        }[args.kind]
-        plan = FaultPlan.transient(seed=1, **{rate_kw: max(args.rates)})
+        plan = transient_plan(args.kind, max(args.rates), seed=1)
         Path(args.plan_xml).write_text(
             fault_plan_to_xml(plan), encoding="utf-8"
         )

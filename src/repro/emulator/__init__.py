@@ -44,7 +44,6 @@ from repro.emulator.fastkernel import (
     FastSimulation,
     make_simulation,
     resolve_engine,
-    simulation_class,
 )
 from repro.emulator.multimode import (
     ModeRun,
@@ -67,7 +66,6 @@ __all__ = [
     "FastSimulation",
     "make_simulation",
     "resolve_engine",
-    "simulation_class",
     "EmulationReport",
     "ModeRun",
     "MultiModeReport",

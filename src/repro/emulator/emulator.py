@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.emulator.config import EmulationConfig
-from repro.emulator.fastkernel import resolve_engine, simulation_class
+from repro.emulator.fastkernel import make_simulation, resolve_engine
 from repro.emulator.kernel import PlatformSpec, Simulation
 from repro.emulator.report import EmulationReport, build_report
 from repro.errors import LintError
@@ -195,10 +195,11 @@ class SegBusEmulator:
                 )
             self._linted = True
         if name not in self._reports:
-            self._simulations[name] = simulation_class(name)(
+            self._simulations[name] = make_simulation(
                 self.application,
                 self.spec,
                 self.config,
+                engine=name,
                 fault_plan=self.fault_plan,
                 retry_policy=self.retry_policy,
                 watchdog=self.watchdog,
@@ -235,26 +236,52 @@ def _with_costs_of(parsed: ParsedPSDF, original: PSDFGraph) -> PSDFGraph:
 
 def emulate(
     application: PSDFGraph,
-    platform: SegBusPlatform,
+    platform: Union[SegBusPlatform, PlatformSpec],
     config: Optional[EmulationConfig] = None,
     fault_plan=None,
     retry_policy=None,
     watchdog=None,
-    strict: bool = False,
     engine: Optional[str] = None,
 ) -> EmulationReport:
-    """One-shot convenience: model objects in, report out.
+    """Emulate one configuration: model objects in, report out.
 
-    ``strict=True`` lints the inputs first and raises
-    :class:`~repro.errors.LintError` on any error-severity finding.
+    A :class:`~repro.model.elements.SegBusPlatform` is routed through the
+    scheme documents first (:meth:`SegBusEmulator.from_models`).  A
+    :class:`~repro.emulator.kernel.PlatformSpec` runs on the kernel as
+    given: pass one that such a routing produced (a session's ``spec``,
+    with its ``application``) to run many variants of one routed model.
     ``engine`` picks the simulation kernel (see
-    :func:`repro.emulator.fastkernel.resolve_engine`).
+    :func:`repro.emulator.fastkernel.resolve_engine`).  To lint the
+    inputs first, use :meth:`SegBusEmulator.run` with ``strict=True``.
     """
-    return SegBusEmulator.from_models(
+    return build_report(
+        simulate(
+            application, platform, config, fault_plan, retry_policy, watchdog, engine
+        )
+    )
+
+
+def simulate(
+    application: PSDFGraph,
+    platform: Union[SegBusPlatform, PlatformSpec],
+    config: Optional[EmulationConfig] = None,
+    fault_plan=None,
+    retry_policy=None,
+    watchdog=None,
+    engine: Optional[str] = None,
+) -> Simulation:
+    """Run what :func:`emulate` runs and return the finished simulation,
+    for analyses that read counters the report does not carry (power)."""
+    if not isinstance(platform, PlatformSpec):
+        routed = SegBusEmulator.from_models(application, platform, config)
+        application, platform = routed.application, routed.spec
+        config = routed.config
+    return make_simulation(
         application,
         platform,
-        config=config,
+        config,
+        engine=engine,
         fault_plan=fault_plan,
         retry_policy=retry_policy,
         watchdog=watchdog,
-    ).run(strict=strict, engine=engine)
+    ).run()

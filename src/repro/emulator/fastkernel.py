@@ -50,7 +50,7 @@ from __future__ import annotations
 import os
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.emulator.events import PRIO_CA, PRIO_SA, PRIO_STATE
 from repro.emulator.kernel import Simulation
@@ -285,7 +285,9 @@ class FastSimulation(Simulation):
         and the budget error is raised at the very event the stepped
         engine raises it.  A watchdog observes every event and a
         ``timeout_ticks`` policy sweeps the CA queue at CA priority, so
-        both keep every check real from the start.
+        both keep every check real from the start.  The first event past
+        the tick horizon ends the run as on the stepped engine: counted,
+        not executed, and an error only while work is left.
         """
         queue = self.queue
         heap = queue.heap
@@ -311,10 +313,13 @@ class FastSimulation(Simulation):
                 queue.now_fs = t_fs
                 executed += 1
                 if t_fs > horizon_fs:
+                    pending = self.pending_work()
+                    if not pending:
+                        break
                     raise StallError(
                         f"tick budget exhausted: simulated time passed "
                         f"{self.config.max_ticks} CA ticks — model livelock?",
-                        pending=self.pending_work(),
+                        pending=pending,
                         last_progress_tick=self.ca.clock.ticks(
                             self.last_progress_fs
                         ),
@@ -338,7 +343,8 @@ class FastSimulation(Simulation):
                 if watchdog is not None:
                     queue.executed = executed
                     watchdog.observe(self)
-            # drained: a virtual check still pending was the last event
+            # drained, or stopped past the horizon with nothing left to
+            # do: a virtual check still pending was the last event
             virtual = self._ca_virtual_fs
             if virtual >= 0:
                 self._ca_virtual_fs = -1
@@ -1049,18 +1055,13 @@ class FastSimulation(Simulation):
 
 
 # ---------------------------------------------------------------------------
-# engine registry
+# engine selection
 # ---------------------------------------------------------------------------
-
-_ENGINES: Dict[str, Type[Simulation]] = {
-    "stepped": Simulation,
-    "fast": FastSimulation,
-}
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Normalize an engine name: explicit argument, else ``SEGBUS_ENGINE``,
-    else the repository default (``stepped``).
+    else the repository default (``fast``).
 
     Raises :class:`~repro.errors.SegBusError` on unknown names, naming the
     known engines — both for CLI typos and for a bad environment value.
@@ -1075,11 +1076,6 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return engine
 
 
-def simulation_class(engine: Optional[str] = None) -> Type[Simulation]:
-    """The Simulation class implementing ``engine`` (after resolution)."""
-    return _ENGINES[resolve_engine(engine)]
-
-
 def make_simulation(
     application,
     spec,
@@ -1087,5 +1083,10 @@ def make_simulation(
     engine: Optional[str] = None,
     **kwargs,
 ) -> Simulation:
-    """Construct an unrun Simulation on the chosen engine."""
-    return simulation_class(engine)(application, spec, config, **kwargs)
+    """Construct an unrun Simulation on the chosen engine.
+
+    The one place a kernel is built: every run the product starts, on
+    either engine, comes through here.
+    """
+    cls = FastSimulation if resolve_engine(engine) == "fast" else Simulation
+    return cls(application, spec, config, **kwargs)

@@ -931,7 +931,13 @@ class Simulation:
         return self
 
     def _run_loop(self) -> None:
-        """Drain the event queue under the event/tick budgets + watchdog."""
+        """Drain the event queue under the event/tick budgets + watchdog.
+
+        The first event past the tick horizon ends the run: with work
+        left it raises, and with none (only a timeout sweep armed past
+        the horizon, say) the run has finished.  Either way that event
+        is counted but not executed.
+        """
         queue = self.queue
         budget = self.config.max_events
         horizon_fs = self.ca.clock.ticks_to_fs(self.config.max_ticks)
@@ -942,10 +948,13 @@ class Simulation:
                 return
             t_fs, action = item
             if t_fs > horizon_fs:
+                pending = self.pending_work()
+                if not pending:
+                    return
                 raise StallError(
                     f"tick budget exhausted: simulated time passed "
                     f"{self.config.max_ticks} CA ticks — model livelock?",
-                    pending=self.pending_work(),
+                    pending=pending,
                     last_progress_tick=self.ca.clock.ticks(self.last_progress_fs),
                     stalled_elements=self.stalled_elements(),
                 )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.emulator.config import EmulationConfig
-from repro.emulator.fastkernel import resolve_engine, simulation_class
+from repro.emulator.fastkernel import make_simulation, resolve_engine
 from repro.emulator.kernel import PlatformSpec
 from repro.emulator.report import EmulationReport, build_report
 from repro.emulator.trace import Tracer
@@ -270,14 +270,15 @@ def run_multimode_detailed(
     _check_placement(application, spec)
     config = config or EmulationConfig()
     resolved = resolve_engine(engine)
-    cls = simulation_class(resolved)
 
     runs: Dict[str, ModeRun] = {}
     measurements: Dict[str, _Measurement] = {}
     for mode_name in application.scheduled_modes():
         graph = application.modes[mode_name]
         tracer = Tracer()
-        sim = cls(graph, spec, config, tracer=tracer).run()
+        sim = make_simulation(
+            graph, spec, config, engine=resolved, tracer=tracer
+        ).run()
         report = build_report(sim)
         runs[mode_name] = ModeRun(
             mode=mode_name,

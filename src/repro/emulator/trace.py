@@ -65,7 +65,7 @@ EVENT_KINDS = (
 
 @dataclass
 class Tracer:
-    """Ordered event recorder (attach via ``Simulation(..., tracer=...)``)."""
+    """Ordered event recorder (attach via ``make_simulation(..., tracer=...)``)."""
 
     events: List[TraceEvent] = field(default_factory=list)
 

@@ -8,8 +8,8 @@ shape into a :class:`~repro.errors.StallError` carrying the stalled
 elements, the pending jobs and the last-progress tick, instead of letting
 the run burn through its whole event budget first.
 
-Attach via ``Simulation(..., watchdog=Watchdog(stall_ticks=...))`` or the
-facade's ``watchdog=`` parameter.  The kernel calls :meth:`observe` after
+Attach via ``make_simulation(..., watchdog=Watchdog(stall_ticks=...))``
+or the facade's ``watchdog=`` parameter.  The kernel calls :meth:`observe` after
 every executed event; the check itself runs every ``check_every`` events to
 stay off the hot path.
 """

@@ -126,12 +126,17 @@ class _CountingInjector:
 class CountingPlan:
     """A fault-plan stand-in whose injector is the counting injector.
 
-    Pass it as any engine's ``fault_plan``; after ``run()`` the
-    simulation's ``faults.opportunities`` holds the census.
+    Pass it as any engine's ``fault_plan``; ``opportunities`` then holds
+    the census of the run that used it (empty before any run).
     """
 
+    def __init__(self) -> None:
+        self.opportunities: Dict[Tuple[str, str], int] = {}
+
     def injector(self) -> _CountingInjector:
-        return _CountingInjector()
+        injector = _CountingInjector()
+        self.opportunities = injector.opportunities
+        return injector
 
 
 def record_draws(plan: FaultPlan,

@@ -9,10 +9,11 @@ runs both fidelities on one configuration and packages the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.emulator.config import EmulationConfig
-from repro.emulator.emulator import SegBusEmulator
+from repro.emulator.emulator import emulate
+from repro.emulator.kernel import PlatformSpec
 from repro.emulator.report import EmulationReport
 from repro.model.elements import SegBusPlatform
 from repro.psdf.graph import PSDFGraph
@@ -54,18 +55,21 @@ class AccuracyResult:
 
 def compare_estimate_to_reference(
     application: PSDFGraph,
-    platform: SegBusPlatform,
+    platform: Union[SegBusPlatform, PlatformSpec],
     label: str = "experiment",
-    emulator_config: Optional[EmulationConfig] = None,
     reference_config: Optional[EmulationConfig] = None,
 ) -> AccuracyResult:
-    """Run the emulator and the reference simulator on one configuration."""
-    estimated = SegBusEmulator.from_models(
-        application, platform, config=emulator_config or EmulationConfig.emulator()
-    ).run()
-    actual = ReferenceSimulator(config=reference_config).execute(
-        application, platform
-    )
+    """Run the emulator and the reference simulator on one configuration.
+
+    ``platform`` is either model input of
+    :func:`~repro.emulator.emulator.emulate`.
+    """
     return AccuracyResult(
-        label=label, estimated_report=estimated, actual_report=actual
+        label=label,
+        estimated_report=emulate(
+            application, platform, EmulationConfig.emulator()
+        ),
+        actual_report=ReferenceSimulator(config=reference_config).execute(
+            application, platform
+        ),
     )

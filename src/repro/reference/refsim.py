@@ -9,10 +9,11 @@ that enables every timing factor the paper's emulator skips (section 3.6's
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.emulator.config import EmulationConfig
-from repro.emulator.emulator import SegBusEmulator
+from repro.emulator.emulator import emulate
+from repro.emulator.kernel import PlatformSpec
 from repro.emulator.report import EmulationReport
 from repro.model.elements import SegBusPlatform
 from repro.psdf.graph import PSDFGraph
@@ -29,12 +30,12 @@ class ReferenceSimulator:
         self.config = config or EmulationConfig.reference()
 
     def execute(
-        self, application: PSDFGraph, platform: SegBusPlatform
+        self,
+        application: PSDFGraph,
+        platform: Union[SegBusPlatform, PlatformSpec],
     ) -> EmulationReport:
         """Run the application at reference fidelity and return the report."""
-        return SegBusEmulator.from_models(
-            application, platform, config=self.config
-        ).run()
+        return emulate(application, platform, self.config)
 
 
 def reference_execute(

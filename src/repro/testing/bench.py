@@ -39,8 +39,8 @@ from repro.apps.jpeg import jpeg_decoder_psdf, jpeg_platform
 from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
 from repro.emulator.fastkernel import (
     ENGINE_NAMES,
+    make_simulation,
     resolve_engine,
-    simulation_class,
 )
 from repro.emulator.kernel import PlatformSpec
 from repro.errors import SegBusError
@@ -145,10 +145,9 @@ def _emulate_runner(
 ) -> Callable[[], Dict[str, int]]:
     """Build the model once; the returned thunk only exercises the kernel."""
     spec = PlatformSpec.from_platform(platform)
-    cls = simulation_class(engine)
 
     def run() -> Dict[str, int]:
-        sim = cls(application, spec).run()
+        sim = make_simulation(application, spec, engine=engine).run()
         return {
             "events": sim.queue.executed,
             "ca_tct": sim.ca.counters.tct,
@@ -183,12 +182,11 @@ def _sweep_prepare(engine: str) -> Callable[[], Dict[str, int]]:
         size: PlatformSpec.from_platform(paper_platform(3, package_size=size))
         for size in (9, 18, 36)
     }
-    cls = simulation_class(engine)
 
     def run() -> Dict[str, int]:
         ticks: Dict[str, int] = {"events": 0}
         for size, spec in specs.items():
-            sim = cls(application, spec).run()
+            sim = make_simulation(application, spec, engine=engine).run()
             ticks["events"] += sim.queue.executed
             ticks[f"s{size}_execution_time_ps"] = fs_to_ps(
                 sim.execution_time_fs()
@@ -269,12 +267,11 @@ def _dse_sweep_prepare(engine: str) -> Callable[[], Dict[str, int]]:
     """Emulate every candidate of the DSE grid under one kernel."""
     application = mp3_decoder_psdf()
     specs = _dse_sweep_specs()
-    cls = simulation_class(engine)
 
     def run() -> Dict[str, int]:
         ticks: Dict[str, int] = {"events": 0}
         for (segments, size), spec in specs.items():
-            sim = cls(application, spec).run()
+            sim = make_simulation(application, spec, engine=engine).run()
             ticks["events"] += sim.queue.executed
             ticks[f"g{segments}s{size}_execution_time_ps"] = fs_to_ps(
                 sim.execution_time_fs()

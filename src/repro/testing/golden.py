@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.emulator.fastkernel import ENGINE_NAMES, simulation_class
+from repro.emulator.fastkernel import ENGINE_NAMES, make_simulation
 from repro.emulator.kernel import PlatformSpec
 from repro.emulator.report import build_report
 from repro.emulator.trace import Tracer
@@ -158,7 +158,7 @@ def measure_pair(
         parse_psm_xml(psm_path.read_text(encoding="utf-8")).to_platform()
     )
     tracer = Tracer()
-    sim = simulation_class(engine)(application, spec, tracer=tracer).run()
+    sim = make_simulation(application, spec, engine=engine, tracer=tracer).run()
     report = build_report(sim)
     return GoldenEntry(
         key=key,
@@ -306,8 +306,8 @@ def measure_workload(name: str, engine: str = "stepped") -> GoldenEntry:
         )
     spec = PlatformSpec.from_platform(workload.platform)
     tracer = Tracer()
-    sim = simulation_class(engine)(
-        workload.application, spec, tracer=tracer
+    sim = make_simulation(
+        workload.application, spec, engine=engine, tracer=tracer
     ).run()
     report = build_report(sim)
     return GoldenEntry(

@@ -71,8 +71,8 @@ from repro.emulator.config import EmulationConfig
 from repro.emulator.conformance import check_conformance
 from repro.emulator.fastkernel import (
     ENGINE_NAMES,
+    make_simulation,
     resolve_engine,
-    simulation_class,
 )
 from repro.emulator.kernel import PlatformSpec, Simulation
 from repro.emulator.multimode import run_multimode, run_multimode_detailed
@@ -157,8 +157,8 @@ def run_differential_oracle(
     spec = PlatformSpec.from_platform(platform)
     primary = resolve_engine(engine)
     tracer = Tracer()
-    sim = simulation_class(primary)(
-        application, spec, config, tracer=tracer
+    sim = make_simulation(
+        application, spec, config, engine=primary, tracer=tracer
     ).run()
     analytic = analytic_estimate(application, spec, config)
     stochastic = stochastic_estimate(application, spec, config)
@@ -330,8 +330,8 @@ def _check_engine_equivalence(
             continue
         report.checked += 1
         other_tracer = Tracer()
-        other_sim = simulation_class(other)(
-            sim.application, spec, config, tracer=other_tracer
+        other_sim = make_simulation(
+            sim.application, spec, config, engine=other, tracer=other_tracer
         ).run()
         theirs = build_report(other_sim)
         for name, a, b in (

@@ -6,9 +6,12 @@ import json
 
 import pytest
 
-from repro.analysis.campaign import COLUMNS, Campaign
+from repro.analysis.campaign import COLUMNS, Campaign, Variant, _run_variant
 from repro.apps.mp3 import paper_platform
+from repro.emulator import emulator as emulator_module
 from repro.emulator.config import EmulationConfig
+from repro.emulator.emulator import SegBusEmulator
+from repro.emulator.fastkernel import ENGINE_ENV_VAR, resolve_engine
 from repro.errors import SegBusError
 
 
@@ -69,6 +72,25 @@ class TestRun:
             package_sizes=[18, 36],
         )
         assert c.variant_names == ["s18", "s36"]
+
+    def test_runner_honours_engine_and_routed_spec(self, mp3_graph, monkeypatch):
+        # the campaign runner takes every variant the other runners take
+        engines = []
+        real = emulator_module.make_simulation
+
+        def recording(*args, engine=None, **kwargs):
+            engines.append(resolve_engine(engine))
+            return real(*args, engine=engine, **kwargs)
+
+        monkeypatch.setattr(emulator_module, "make_simulation", recording)
+        monkeypatch.setenv(ENGINE_ENV_VAR, "fast")
+        routed = SegBusEmulator.from_models(mp3_graph, paper_platform(3))
+        row = _run_variant(Variant("v", mp3_graph, paper_platform(3)))
+        on_spec = _run_variant(
+            Variant("v", routed.application, routed.spec, engine="stepped")
+        )
+        assert on_spec == row
+        assert engines == ["fast", "stepped"]
 
 
 class TestExports:

@@ -474,21 +474,19 @@ class TestCanonicalDigest:
         assert canonical_digest("a", 1) != canonical_digest("a", 2)
 
     def test_emulation_job_key_covers_config(self):
-        from repro.analysis.reliability import _ReliabilityJob
+        from repro.analysis.campaign import Variant
+        from repro.analysis.reliability import transient_plan
         from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
         from repro.emulator.config import EmulationConfig
         from repro.emulator.kernel import PlatformSpec
         from repro.faults import RetryPolicy
 
-        def job(**extra):
-            return _ReliabilityJob(
-                label="x",
-                application=mp3_decoder_psdf(),
-                spec=PlatformSpec.from_platform(paper_platform(2)),
-                kind="package_corruption",
-                rate=0.01,
-                seed=1,
-                stall_ticks=50,
+        def job(seed=1, **extra):
+            return Variant(
+                "x",
+                mp3_decoder_psdf(),
+                PlatformSpec.from_platform(paper_platform(2)),
+                fault_plan=transient_plan("package_corruption", 0.01, seed),
                 retry_policy=RetryPolicy(),
                 **extra,
             )
@@ -496,6 +494,7 @@ class TestCanonicalDigest:
         a = canonical_digest(job())
         assert a != canonical_digest(job(config=EmulationConfig(bu_sync_ticks=5)))
         assert a != canonical_digest(job(engine="stepped"))
+        assert a != canonical_digest(job(seed=2))
         assert a == canonical_digest(job())
 
     def test_emulation_job_default_config_is_per_instance(self):

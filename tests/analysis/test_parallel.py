@@ -10,14 +10,8 @@ import logging
 
 import pytest
 
-from repro.analysis.campaign import (
-    Variant,
-    VariantResult,
-    _run_variant,
-    _VariantTask,
-)
+from repro.analysis.campaign import Variant, VariantResult, _run_variant
 from repro.analysis.executor import CampaignExecutor, JobError, JobFailure
-from repro.analysis.power import PowerCoefficients
 from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
 from repro.emulator.config import EmulationConfig
 from repro.psdf.generators import chain_psdf
@@ -51,8 +45,7 @@ def make_broken_job(label="broken"):
 
 
 def emulate(jobs, **kwargs):
-    tasks = [_VariantTask(job, PowerCoefficients()) for job in jobs]
-    return CampaignExecutor(_run_variant, **kwargs).run(tasks)
+    return CampaignExecutor(_run_variant, **kwargs).run(jobs)
 
 
 def emulate_rows(jobs, **kwargs):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.analysis.dse import explore_design_space
+from repro.analysis.executor import CheckpointJournal
 from repro.analysis.reliability import reliability_sweep
 from repro.analysis.sweep import package_size_sweep, segment_count_sweep
 from repro.apps.mp3 import (
@@ -14,6 +15,7 @@ from repro.apps.mp3 import (
     paper_platform,
     paper_segment_frequencies_mhz,
 )
+from repro.errors import SegBusError
 
 
 class TestPackageSizeSweep:
@@ -41,6 +43,22 @@ class TestPackageSizeSweep:
     def test_estimates_below_actuals(self, points):
         for point in points:
             assert point.estimated_us < point.actual_us
+
+    def test_one_job_per_point_under_the_point_label(self, mp3_graph, tmp_path):
+        # a resumed sweep and a SEGBUS_CHAOS spec address points by label
+        package_size_sweep(
+            mp3_graph,
+            platform_factory=lambda s: paper_platform(3, package_size=s),
+            package_sizes=[18, 36],
+            workers=1,
+            checkpoint_dir=tmp_path,
+            checkpoint_name="sizes",
+        )
+        journaled = CheckpointJournal(tmp_path, "sizes").load()
+        assert sorted(label for label, _ in journaled.values()) == [
+            "s=18",
+            "s=36",
+        ]
 
 
 class TestSegmentCountSweep:
@@ -189,5 +207,12 @@ class TestEstimatorPrune:
         assert len(pruned) == 4
 
     def test_prune_must_be_positive(self, mp3_graph):
-        with pytest.raises(ValueError, match="estimator_prune"):
-            self.explore(mp3_graph, estimator_prune=0)
+        class NoPlacement:
+            def solve(self, *args):
+                raise AssertionError("placement ran before the check")
+
+        for bad in (0, -1):
+            with pytest.raises(SegBusError, match="estimator_prune"):
+                self.explore(
+                    mp3_graph, estimator_prune=bad, place_tool=NoPlacement()
+                )

@@ -1,4 +1,4 @@
-"""Engine registry and selection: resolve_engine, facade caching, env var."""
+"""Engine selection: resolve_engine, make_simulation, facade caching, env var."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.emulator.fastkernel import (
     FastSimulation,
     make_simulation,
     resolve_engine,
-    simulation_class,
 )
 from repro.emulator.kernel import PlatformSpec, Simulation
 from repro.errors import SegBusError
@@ -49,11 +48,15 @@ class TestResolveEngine:
 
 
 class TestSimulationClass:
-    def test_stepped_maps_to_base_kernel(self):
-        assert simulation_class("stepped") is Simulation
+    def test_stepped_maps_to_base_kernel(self, mp3_graph, platform_3seg):
+        spec = PlatformSpec.from_platform(platform_3seg)
+        sim = make_simulation(mp3_graph, spec, engine="stepped")
+        assert type(sim) is Simulation
 
-    def test_fast_maps_to_fastkernel(self):
-        assert simulation_class("fast") is FastSimulation
+    def test_fast_maps_to_fastkernel(self, mp3_graph, platform_3seg):
+        spec = PlatformSpec.from_platform(platform_3seg)
+        sim = make_simulation(mp3_graph, spec, engine="fast")
+        assert type(sim) is FastSimulation
 
     def test_fast_is_a_simulation(self):
         # drop-in subtype: everything accepting a Simulation accepts it

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.emulator.config import EmulationConfig
+from repro.emulator.fastkernel import ENGINE_NAMES, make_simulation
 from repro.emulator.kernel import PlatformSpec, Simulation
+from repro.emulator.report import build_report
 from repro.errors import DeadlockError, StallError
 from repro.faults import FaultPlan, RetryPolicy, Watchdog
 
@@ -72,6 +74,39 @@ class TestBudgets:
             sim.run()
         assert excinfo.value.pending
         assert isinstance(excinfo.value, DeadlockError)
+
+    def test_timeout_sweep_past_the_horizon_ends_a_finished_run(
+        self, mp3_graph, spec_3seg, report_3seg
+    ):
+        # every inter-segment request arms a CA timeout sweep at arrival +
+        # T + 1 ticks; with T at the default 10**9-tick horizon those
+        # sweeps land past it after the work is done, and must not fail
+        # the run
+        policy = RetryPolicy(timeout_ticks=10**9)
+        reports = {
+            engine: build_report(
+                make_simulation(
+                    mp3_graph, spec_3seg, engine=engine, retry_policy=policy
+                ).run()
+            )
+            for engine in ENGINE_NAMES
+        }
+        assert len({report.digest() for report in reports.values()}) == 1
+        for report in reports.values():
+            assert report.execution_time_fs == report_3seg.execution_time_fs
+            assert not report.degraded
+
+    def test_work_left_past_the_horizon_still_raises(self, mp3_graph, spec_3seg):
+        for engine in ENGINE_NAMES:
+            sim = make_simulation(
+                mp3_graph,
+                spec_3seg,
+                EmulationConfig(max_ticks=1_000),
+                engine=engine,
+                retry_policy=RetryPolicy(timeout_ticks=10**9),
+            )
+            with pytest.raises(StallError, match="tick budget exhausted"):
+                sim.run()
 
     def test_default_budgets_do_not_interfere(self, report_3seg):
         # the session-scoped paper run finished under the default budgets

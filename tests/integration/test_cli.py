@@ -77,3 +77,13 @@ class TestExplore:
         )
         assert rc == 0
         assert "placetool" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("prune", ["0", "-1"])
+    def test_bad_estimate_prune_exits_2(self, capsys, prune):
+        rc = main(["explore", "--estimate-prune", prune])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"segbus: error: estimator_prune must be >= 1, got {prune}\n"
+        )
