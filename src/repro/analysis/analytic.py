@@ -204,21 +204,16 @@ def analytic_estimate(
     handshake = config.master_handshake_ticks
     durations: Dict[Tuple[int, int], int] = {}
 
-    # completion time of each flow (source, target, order) and each process
-    ready: Dict[str, int] = {}
-    flow_done: Dict[Tuple[str, str, int], int] = {}
+    # the latest completion among each process's incoming flows (every
+    # producer comes first in topological order), and each process's
+    # completion: its last flow's, since the cursor never goes back, or
+    # for a sink its firing edge (kernel semantics)
+    inputs_done: Dict[str, int] = {}
+    done: Dict[str, int] = {}
     for name in application.topological_order():
-        incoming = application.incoming(name)
-        if incoming:
-            fire = max(
-                flow_done[(f.source, f.target, f.order)] for f in incoming
-            )
-        else:
-            fire = 0
         segment = placement[name]
         clock = clocks[segment]
-        cursor = clock.edge_after(fire)
-        ready[name] = cursor
+        cursor = clock.edge_after(inputs_done.get(name, 0))
         for transfer in schedule.transfers_of[name]:
             per_package_compute = clock.ticks_to_fs(
                 transfer.ticks_per_package + handshake
@@ -231,18 +226,11 @@ def analytic_estimate(
             # the per-package increment is loop-invariant, so the package
             # loop collapses to one integer multiply (identical arithmetic)
             cursor += transfer.packages * (per_package_compute + duration)
-            flow_done[(transfer.source, transfer.target, transfer.order)] = cursor
+            if cursor > inputs_done.get(transfer.target, -1):
+                inputs_done[transfer.target] = cursor
+        done[name] = cursor
 
-    completion: Dict[str, int] = {}
-    for name in application.process_names:
-        outgoing = schedule.transfers_of[name]
-        if outgoing:
-            completion[name] = max(
-                flow_done[(t.source, t.target, t.order)] for t in outgoing
-            )
-        else:
-            # a sink completes at its firing edge (kernel semantics)
-            completion[name] = ready[name]
+    completion = {name: done[name] for name in application.process_names}
     end = max(completion.values(), default=0)
     # the CA epilogue is part of the reported execution time
     execution = ca_clock.ticks(end) + config.ca_epilogue_ticks

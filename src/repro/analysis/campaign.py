@@ -61,6 +61,20 @@ class Variant:
         return self.name
 
 
+def refuse_repeats(axis: str, values: Sequence) -> None:
+    """Refuse a grid axis that names one value twice.
+
+    The repeat would add result rows for points already on the grid and
+    run their work again, so a sweep checks its axes before it places or
+    simulates anything.
+    """
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise SegBusError(f"{axis} names {value!r} twice")
+        seen.add(value)
+
+
 def emulate_variant(variant: Variant) -> EmulationReport:
     """Emulate one variant (the executor's runner for plain reports)."""
     return emulate(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.campaign import Variant, emulate_variant
+from repro.analysis.campaign import Variant, emulate_variant, refuse_repeats
 from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.emulator.config import EmulationConfig
 from repro.emulator.report import EmulationReport
@@ -77,6 +77,9 @@ def explore_design_space(
     emulated — the estimator prunes, the engines confirm.  Returned points
     then carry their ``estimated_us``.
 
+    A value repeated in ``segment_counts`` or ``package_sizes`` raises a
+    :class:`~repro.errors.SegBusError` before any placement.
+
     Each candidate is mapped in the parent — ``segment_frequencies_mhz``
     is an arbitrary callable and need not pickle — and runs as one
     :class:`~repro.analysis.campaign.Variant`.
@@ -85,6 +88,8 @@ def explore_design_space(
         raise SegBusError(
             f"estimator_prune must be >= 1, got {estimator_prune}"
         )
+    refuse_repeats("segment_counts", segment_counts)
+    refuse_repeats("package_sizes", package_sizes)
     config = config or EmulationConfig()
     tool = place_tool or PlaceTool()
     candidates: List[Tuple[str, Allocation]] = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.campaign import Variant, emulate_variant
+from repro.analysis.campaign import Variant, emulate_variant, refuse_repeats
 from repro.analysis.executor import CampaignExecutor, ExecutorPolicy
 from repro.emulator.config import EmulationConfig
 from repro.emulator.emulator import SegBusEmulator, emulate
@@ -242,12 +242,17 @@ def reliability_sweep(
     is byte-identical either way (chaos-gated in the test suite).  The
     journal holds simulated points only; cloned points are recomputed
     from the reference on every call.
+
+    A value repeated in ``rates`` or ``seeds`` raises a
+    :class:`~repro.errors.SegBusError` before any simulation.
     """
     if kind not in TRANSIENT_KINDS:
         raise FaultConfigError(
             f"reliability sweep needs a transient fault kind, got {kind!r} "
             f"(expected one of {sorted(TRANSIENT_KINDS)})"
         )
+    refuse_repeats("rates", rates)
+    refuse_repeats("seeds", seeds)
     executor = CampaignExecutor(
         _run_reliability_job,
         policy=executor_policy,

@@ -15,9 +15,12 @@ constant factors engineered out:
   turnaround, BU waiting window) is pre-multiplied into plain integer
   femtoseconds at construction, one lookup per use;
 * routes — path, direction and BU chain — are resolved once per transfer
-  at construction; a package's job is made in flight from its transfer's
-  route when its compute completes, and lives until the package is
-  delivered (or abandoned), so memory follows the packages in flight,
+  at construction.  When no package can be retried (no fault plan, no
+  ``timeout_ticks``), each transfer also gets its one job there, and a
+  package only stamps its number on it; otherwise a package's job is made
+  in flight when its compute completes and lives until the package is
+  delivered (or abandoned), since retry keys need an object per package.
+  Either way memory follows the transfers and the packages in flight,
   not the data volume;
 * heap entries are plain lists ordered by ``(time, priority, sequence)``,
   pushed inline at the hot call sites, and recurring actions (SA checks,
@@ -27,15 +30,22 @@ constant factors engineered out:
   do: it keeps only its time (a *virtual* check) and is counted, not
   queued, unless a job reaches the CA queue first (see
   :meth:`FastSimulation._schedule_ca_check`);
-* tracing and fault hooks are branch-hoisted: a run without a tracer or
-  fault plan never pays for either.
+* an SA check that a local request schedules on an idle segment, with
+  nothing queued ahead of it, runs inside the request's own event (a
+  *fused* check, counted like a virtual one; see
+  :meth:`FastSimulation._on_compute_done`);
+* tracing and fault hooks are branch-hoisted: a run without a tracer
+  never pays for it, and a fault hook runs only when the plan holds its
+  kind (a query about any other kind would draw nothing and answer
+  "no fault").
 
 **Equivalence contract.**  The fast engine runs the *same logical events
 in the same order* as the stepped engine, so the executed-event count,
 every monitoring counter, the trace/timeline/report digests and
 ``max(t_SA, t_CA)`` are bit-identical — not approximately, exactly.  An
-empty CA check is a logical event that is counted rather than queued;
-sequence numbers stay monotone, so every queued event keeps its order.
+empty CA check and a fused SA check are logical events that are counted
+rather than queued; sequence numbers stay monotone, so every queued event
+keeps its order.
 The contract is enforced three ways (see docs/PERFORMANCE.md): the ENG-1
 differential oracle in ``segbus selftest``, the Hypothesis property suite
 (``tests/property/test_engine_equivalence.py``), and the golden-trace
@@ -55,6 +65,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.emulator.events import PRIO_CA, PRIO_SA, PRIO_STATE
 from repro.emulator.kernel import Simulation
 from repro.errors import EmulationError, SegBusError, StallError
+from repro.faults.model import (
+    KIND_BU_DROP,
+    KIND_CORRUPTION,
+    KIND_FU_STALL,
+    KIND_GRANT_LOSS,
+)
 
 #: the known engine names, in registry order
 ENGINE_NAMES: Tuple[str, ...] = ("stepped", "fast")
@@ -79,8 +95,9 @@ class FastEventQueue:
     ``pop``/``len`` — matches the stepped queue so inherited cold-path
     handlers work unchanged.  Hot handlers bypass ``schedule`` and push
     entries inline, sharing the same ``seq`` counter so ties break in the
-    stepped engine's schedule order (a virtual CA check takes no number,
-    which leaves the order of the others as it is).
+    stepped engine's schedule order (a virtual CA check or a fused SA
+    check takes no number, which leaves the order of the others as it
+    is).
     """
 
     __slots__ = ("heap", "seq", "now_fs", "executed")
@@ -128,10 +145,12 @@ class _FastJob:
 
     Duck-type compatible with :class:`repro.emulator.fu.TransferJob` for
     every consumer inside the kernel (retry bookkeeping, CA bookkeeping,
-    purges, traces).  One instance is made per package when its compute
-    completes and is reused across retry attempts, exactly like the
-    stepped engine reuses its job object through the fail/requeue cycle.
-    ``path`` is ``None`` for intra-segment packages.
+    purges, traces).  When no package can be retried, one instance per
+    transfer serves each of its packages in turn (a master has one package
+    in flight at a time).  Otherwise one is made per package when its
+    compute completes and is reused across retry attempts, exactly like
+    the stepped engine reuses its job object through the fail/requeue
+    cycle.  ``path`` is ``None`` for intra-segment packages.
     """
 
     __slots__ = (
@@ -224,9 +243,20 @@ class FastSimulation(Simulation):
         self._ca_decision_fs = config.ca_decision_ticks * self._ca_period
         self._circuit = config.inter_segment_protocol == "circuit"
         self._has_timeout = self.retry_policy.timeout_ticks is not None
-        #: retry-state dicts only see writes under faults or timeouts —
-        #: fault-free runs skip the per-package key bookkeeping entirely
-        self._resilient = self.faults is not None or self._has_timeout
+        #: packages can be retried only under faults or timeouts; otherwise
+        #: each transfer's one job serves all of its packages
+        resilient = self.faults is not None or self._has_timeout
+        kinds = self.faults.kinds if self.faults is not None else ()
+        #: which fault hooks can answer "yes": the plan holds their kind
+        self._stalls = KIND_FU_STALL in kinds
+        self._grant_losses = KIND_GRANT_LOSS in kinds
+        self._corruptions = KIND_CORRUPTION in kinds
+        self._bu_drops = KIND_BU_DROP in kinds
+        #: a delivery starts the next compute inline unless that compute
+        #: may stall or its master may have died
+        self._inline_compute = not self._stalls and not (
+            self.faults is not None and self.faults.permanent_failures()
+        )
 
         self._ca_check_action: Optional[Callable[[], None]] = self._on_ca_check
         #: the time of the pending virtual CA check, -1 when there is none
@@ -234,7 +264,12 @@ class FastSimulation(Simulation):
         #: virtual CA checks the run has passed (each a logical event)
         self._ca_virtual_count = 0
         #: the latest time a virtual check may take; -1 keeps checks real
+        #: (and every SA check queued)
         self._ca_virtual_limit_fs = -1
+        #: SA checks run inside the event that scheduled them (each a
+        #: logical event), and the time of the latest one, -1 before any
+        self._fused_count = 0
+        self._fused_fs = -1
 
         # -- per-master metadata: compute times, per-transfer routes ---------
         #: one (target segment, path, direction, BU chain) per segment pair;
@@ -270,6 +305,13 @@ class FastSimulation(Simulation):
             master.f_compute = tuple(compute_fs)
             master.f_routes = tuple(transfer_routes)
             master.f_ntransfers = len(master.transfers)
+            master.f_jobs = None if resilient else tuple(
+                _FastJob(master.process, src, target, transfer, 0, path,
+                         direction, chain, master)
+                for transfer, (target, path, direction, chain) in zip(
+                    master.transfers, transfer_routes
+                )
+            )
 
     # ------------------------------------------------------------------ loop
 
@@ -277,15 +319,17 @@ class FastSimulation(Simulation):
         """Drain the queue with the heap inlined into the loop body.
 
         ``executed`` counts the queued events; ``queue.executed`` adds the
-        virtual CA checks the run passed, so it is the logical count the
-        stepped engine reports.  The event budget is checked against that
-        logical count.  Virtual checks add at most one event per queued
-        one, so while fewer than a third of ``max_events`` events have run
-        the budget cannot be reached; from there on every check is real
-        and the budget error is raised at the very event the stepped
-        engine raises it.  A watchdog observes every event and a
-        ``timeout_ticks`` policy sweeps the CA queue at CA priority, so
-        both keep every check real from the start.  The first event past
+        virtual CA checks the run passed and the fused SA checks it ran, so
+        it is the logical count the stepped engine reports.  The event
+        budget is checked against that logical count.  Each queued event
+        carries at most one virtual and one fused check, so a run has made
+        at most three logical events per queued one: while fewer than a
+        quarter of ``max_events`` events have run the budget cannot be
+        reached.  From there on every check is real and queued, and the
+        budget error is raised at the very event the stepped engine raises
+        it.  A watchdog observes every event and a ``timeout_ticks`` policy
+        sweeps the CA queue at CA priority, so both keep every check real
+        and queued from the start.  The first event past
         the tick horizon ends the run as on the stepped engine: counted,
         not executed, and an error only while work is left.
         """
@@ -294,7 +338,7 @@ class FastSimulation(Simulation):
         budget = self.config.max_events
         horizon_fs = self._ca_period * self.config.max_ticks
         watchdog = self.watchdog
-        limit = budget // 3
+        limit = budget // 4
         if watchdog is None and not self._has_timeout and limit > 0:
             self._ca_virtual_limit_fs = horizon_fs
         else:
@@ -329,7 +373,9 @@ class FastSimulation(Simulation):
                 if executed >= limit:
                     if self._ca_virtual_limit_fs >= 0:
                         self._end_virtual_checks(entry)
-                        limit = budget - self._ca_virtual_count
+                        limit = (
+                            budget - self._ca_virtual_count - self._fused_count
+                        )
                     if executed >= limit:
                         raise StallError(
                             f"event budget exhausted after {budget} events "
@@ -356,20 +402,26 @@ class FastSimulation(Simulation):
                 # after a raise in ``entry``, a check that preceded it has
                 # run (a drained run settled its pending check above)
                 self._end_virtual_checks(entry)
-            queue.executed = executed + self._ca_virtual_count
+            queue.executed = (
+                executed + self._ca_virtual_count + self._fused_count
+            )
 
     def _end_virtual_checks(self, entry: list) -> None:
-        """Make every later CA check real; ``entry`` is the event just run.
+        """Make every later CA check real and every later SA check queued;
+        ``entry`` is the event just run.
 
-        A pending virtual check that precedes it has run and is counted;
-        any other becomes a heap entry at its own time.
+        A pending virtual check that precedes it has run and is counted, as
+        has one at the time of a fused SA check: that check ran at
+        ``PRIO_SA``, after ``PRIO_CA``.  Any other becomes a heap entry at
+        its own time.
         """
         self._ca_virtual_limit_fs = -1
         virtual = self._ca_virtual_fs
         if virtual < 0:
             return
         self._ca_virtual_fs = -1
-        if (virtual, PRIO_CA) < (entry[0], entry[1]):
+        passed = (virtual, PRIO_CA) < (entry[0], entry[1])
+        if passed or virtual == self._fused_fs:
             self._ca_virtual_count += 1
             return
         queue = self.queue
@@ -391,7 +443,8 @@ class FastSimulation(Simulation):
             segment.f_sa_action = segment.f_intra_action = None
             segment.f_sa_entry = None
         for master in self.masters.values():
-            master.f_action = master.f_segment = None
+            # each job points back at its master
+            master.f_action = master.f_segment = master.f_jobs = None
 
     # ------------------------------------------------------------------ firing
 
@@ -441,7 +494,7 @@ class FastSimulation(Simulation):
         p = master.f_period
         compute_fs = master.f_compute[master.transfer_index]
         master.computing = True
-        if self.faults is not None:
+        if self._stalls:
             stall = self.faults.stall_ticks(master.process)
             if stall:
                 master.counters.stall_ticks_injected += stall
@@ -474,18 +527,24 @@ class FastSimulation(Simulation):
             return
         master.waiting_grant = True
         index = master.transfer_index
-        target, path, direction, chain = master.f_routes[index]
-        job = _FastJob(
-            master.process,
-            master.segment_index,
-            target,
-            master.transfers[index],
-            master.package_index,
-            path,
-            direction,
-            chain,
-            master,
-        )
+        jobs = master.f_jobs
+        if jobs is not None:
+            job = jobs[index]
+            job.package_seq = master.package_index
+            path = job.path
+        else:
+            target, path, direction, chain = master.f_routes[index]
+            job = _FastJob(
+                master.process,
+                master.segment_index,
+                target,
+                master.transfers[index],
+                master.package_index,
+                path,
+                direction,
+                chain,
+                master,
+            )
         if self.tracer is not None:
             self.tracer.record(now, "request", master.process, job.label)
         segment = master.f_segment
@@ -514,9 +573,22 @@ class FastSimulation(Simulation):
             if entry[0] <= at:
                 return
             entry[3] = True
+        heap = queue.heap
+        if at == now and now <= self._ca_virtual_limit_fs and (
+            not heap or heap[0][0] > now or heap[0][1] > PRIO_SA
+        ):
+            # nothing is queued ahead of (now, PRIO_SA): the check would be
+            # the very next event, so it runs here, as one logical event
+            # (a pending virtual CA check at now comes first and does
+            # nothing).  Only inside the budget window, which leaves room
+            # for it (see _run_loop).
+            self._fused_count += 1
+            self._fused_fs = now
+            self._on_sa_check(segment)
+            return
         queue.seq = seq = queue.seq + 1
         entry = [at, PRIO_SA, seq, False, segment.f_sa_action]
-        heappush(queue.heap, entry)
+        heappush(heap, entry)
         segment.f_sa_entry = entry
 
     # ------------------------------------------------------------------ SA side
@@ -564,7 +636,7 @@ class FastSimulation(Simulation):
                 job = self._pick_round_robin(segment)
         else:
             job = self._pick_fixed_priority(segment)
-        if self.faults is not None and self.faults.lose_segment_grant(
+        if self._grant_losses and self.faults.lose_segment_grant(
             segment.index
         ):
             counters.grant_losses += 1
@@ -609,9 +681,8 @@ class FastSimulation(Simulation):
         now = queue.now_fs
         master = job.mrt
         segment.next_grant_fs = now + segment.f_turnaround
-        faults = self.faults
         tracer = self.tracer
-        if faults is not None and faults.corrupt_package(segment.index):
+        if self._corruptions and self.faults.corrupt_package(segment.index):
             segment.counters.nacks += 1
             if tracer is not None:
                 tracer.record(now, "nack", f"Segment{segment.index}", job.label)
@@ -619,7 +690,7 @@ class FastSimulation(Simulation):
         else:
             master.waiting_grant = False
             master.counters.packages_sent += 1
-            if self._resilient:
+            if self._failures or self._ca_wait_since:
                 self._clear_retry_state(job)
             target = job.transfer.target
             if tracer is not None:
@@ -642,7 +713,7 @@ class FastSimulation(Simulation):
                 master.transfer_index = transfer = transfer + 1
             master.package_index = package
             if transfer < master.f_ntransfers:
-                if faults is not None:
+                if not self._inline_compute:
                     # a dead master or an injected stall: the general path
                     self._start_compute(master, now)
                 else:
@@ -671,14 +742,20 @@ class FastSimulation(Simulation):
             self.last_progress_fs = now
         if segment.pending_intra or segment.pending_bu:
             self._schedule_sa_check(segment, now)
-        self._schedule_ca_check(now)
+        # the CA check, inline while it stays virtual: _schedule_ca_check
+        p = self._ca_period
+        at = -(-now // p) * p
+        virtual = self._ca_virtual_fs
+        if virtual != at:
+            if 0 <= virtual < now and at <= self._ca_virtual_limit_fs:
+                # the pending check has run; the CA queue is empty while a
+                # check is virtual, so the new one is virtual too
+                self._ca_virtual_count += 1
+                self._ca_virtual_fs = at
+            else:
+                self._schedule_ca_check(now)
         if now > self.global_end_fs:
             self.global_end_fs = now
-
-    def _on_intra_done(self, job, segment) -> None:
-        # kept for signature parity with the stepped kernel
-        segment.f_intra_job = job
-        self._on_intra_pop(segment)
 
     # ------------------------------------------------------------------ CA side
 
@@ -735,7 +812,7 @@ class FastSimulation(Simulation):
             return
         remaining: List[_FastJob] = []
         grant_lost = False
-        faults = self.faults
+        grant_losses = self._grant_losses
         segments = self._seg_by_index
         circuit = self._circuit
         for job in jobs:
@@ -761,7 +838,7 @@ class FastSimulation(Simulation):
                     and len(bu.queues[job.direction]) < bu.depth
                 )
             if free:
-                if faults is not None and faults.lose_ca_grant():
+                if grant_losses and self.faults.lose_ca_grant():
                     self.ca.counters.grant_losses += 1
                     if self.tracer is not None:
                         self.tracer.record(now, "grant_loss", "CA", job.label)
@@ -850,9 +927,7 @@ class FastSimulation(Simulation):
             self.tracer.record(now, "fill_done", bu.name, job.label)
         master = job.mrt
         master.outstanding_deliveries += 1
-        if self.faults is not None and self.faults.drop_in_bu(
-            bu.left, bu.right
-        ):
+        if self._bu_drops and self.faults.drop_in_bu(bu.left, bu.right):
             bu.pop(direction)
             counters.dropped_packages += 1
             master.outstanding_deliveries -= 1
@@ -960,9 +1035,7 @@ class FastSimulation(Simulation):
             self.tracer.record(now, "hop_done", bu_prev.name, job.label)
         if index == len(path) - 1:
             master = job.mrt
-            if self.faults is not None and self.faults.corrupt_package(
-                seg_index
-            ):
+            if self._corruptions and self.faults.corrupt_package(seg_index):
                 self.ca.counters.nacks += 1
                 if self.tracer is not None:
                     self.tracer.record(
@@ -977,7 +1050,7 @@ class FastSimulation(Simulation):
                 master.waiting_grant = False
                 master.counters.packages_sent += 1
                 master.outstanding_deliveries -= 1
-                if self._resilient:
+                if self._failures or self._ca_wait_since:
                     self._clear_retry_state(job)
                 self._release_segment(segment, now)
                 self.ca.end_circuit(job, now)

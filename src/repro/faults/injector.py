@@ -15,7 +15,7 @@ summary at the end of emulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.faults.model import (
     KIND_BU_DROP,
@@ -58,20 +58,28 @@ class FaultInjector:
         self.plan = plan
         self.counters = FaultCounters()
         # one independent stream per record, keyed by its position so two
-        # otherwise-identical records still draw independently
-        self._streams: List[Tuple[FaultRecord, DeterministicStream]] = [
-            (record, DeterministicStream(plan.seed, record.site, record.kind, str(i)))
-            for i, record in enumerate(plan.records)
-            if record.is_transient
-        ]
+        # otherwise-identical records still draw independently; grouped by
+        # kind, in plan order within each kind
+        self._streams: Dict[str, List[Tuple[FaultRecord, DeterministicStream]]]
+        self._streams = {}
+        for i, record in enumerate(plan.records):
+            if record.is_transient:
+                stream = DeterministicStream(
+                    plan.seed, record.site, record.kind, str(i)
+                )
+                self._streams.setdefault(record.kind, []).append((record, stream))
+        #: the transient kinds the plan holds: a query about any other kind
+        #: draws from no stream and always answers "no fault", so the
+        #: kernel may skip it
+        self.kinds: FrozenSet[str] = frozenset(self._streams)
 
     # -- generic draw ----------------------------------------------------------
 
     def _draw(self, kind: str, site: str) -> Optional[FaultRecord]:
         """One opportunity at ``site``: Bernoulli-draw every matching record."""
         hit: Optional[FaultRecord] = None
-        for record, stream in self._streams:
-            if record.kind != kind or not record.matches(site):
+        for record, stream in self._streams.get(kind, ()):
+            if not record.matches(site):
                 continue
             if stream.chance(record.rate) and hit is None:
                 hit = record

@@ -31,6 +31,7 @@ from repro.faults.model import (
     KIND_CORRUPTION,
     KIND_FU_STALL,
     KIND_GRANT_LOSS,
+    TRANSIENT_KINDS,
     FaultPlan,
 )
 from repro.faults.prng import stream_state
@@ -87,6 +88,9 @@ class _CountingInjector:
 
     class _ZeroCounters:
         total = 0
+
+    #: a census consults every hook, so it holds every transient kind
+    kinds = frozenset(TRANSIENT_KINDS)
 
     def __init__(self) -> None:
         self.opportunities: Dict[Tuple[str, str], int] = {}

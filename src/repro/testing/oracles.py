@@ -323,21 +323,35 @@ def _check_engine_equivalence(
     primary: str,
     report: OracleReport,
 ) -> None:
-    """ENG-1: every other engine must reproduce the run byte-for-byte."""
+    """ENG-1: every other engine must reproduce the run byte-for-byte.
+
+    Each other engine runs twice: traced, and untraced, since some of a
+    kernel's paths run only without a tracer.
+    """
     mine = build_report(sim)
     for other in ENGINE_NAMES:
         if other == primary:
             continue
-        report.checked += 1
+        report.checked += 2
         other_tracer = Tracer()
         other_sim = make_simulation(
             sim.application, spec, config, engine=other, tracer=other_tracer
         ).run()
         theirs = build_report(other_sim)
+        untraced_sim = make_simulation(
+            sim.application, spec, config, engine=other
+        ).run()
+        untraced = build_report(untraced_sim)
         for name, a, b in (
             ("trace", tracer.digest(), other_tracer.digest()),
             ("timeline", mine.timeline.digest(), theirs.timeline.digest()),
             ("report", mine.digest(), theirs.digest()),
+            (
+                "untraced timeline",
+                mine.timeline.digest(),
+                untraced.timeline.digest(),
+            ),
+            ("untraced report", mine.digest(), untraced.digest()),
         ):
             if a != b:
                 report.add(
@@ -346,13 +360,16 @@ def _check_engine_equivalence(
                     f"{other} engines ({a[:12]}… != {b[:12]}…): the engines "
                     "must be tick-for-tick equivalent",
                 )
-        if sim.queue.executed != other_sim.queue.executed:
-            report.add(
-                "ENG-1",
-                f"executed event counts diverge: {primary} ran "
-                f"{sim.queue.executed}, {other} ran "
-                f"{other_sim.queue.executed}",
-            )
+        for name, executed in (
+            ("ran", other_sim.queue.executed),
+            ("ran untraced", untraced_sim.queue.executed),
+        ):
+            if sim.queue.executed != executed:
+                report.add(
+                    "ENG-1",
+                    f"executed event counts diverge: {primary} ran "
+                    f"{sim.queue.executed}, {other} {name} {executed}",
+                )
 
 
 # ---------------------------------------------------------------------------

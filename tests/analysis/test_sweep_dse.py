@@ -91,6 +91,32 @@ class TestDSE:
         times = [p.execution_time_us for p in points]
         assert times == sorted(times)
 
+    @pytest.mark.parametrize(
+        "counts, sizes, message",
+        [
+            ([2, 2], [6], "segment_counts names 2 twice"),
+            ([2, 3], [6, 4, 6], "package_sizes names 6 twice"),
+        ],
+    )
+    def test_a_repeated_grid_value_is_refused_before_placement(
+        self, mp3_graph, counts, sizes, message
+    ):
+        # a repeat would rank the same design twice and solve or emulate
+        # it again
+        class NoPlacement:
+            def solve(self, *args):
+                raise AssertionError("placement ran before the check")
+
+        with pytest.raises(SegBusError, match=message):
+            explore_design_space(
+                mp3_graph,
+                segment_counts=counts,
+                package_sizes=sizes,
+                segment_frequencies_mhz=paper_segment_frequencies_mhz,
+                ca_frequency_mhz=PAPER_CA_FREQUENCY_MHZ,
+                place_tool=NoPlacement(),
+            )
+
     def test_points_labelled_by_source(self, mp3_graph):
         points = explore_design_space(
             mp3_graph,

@@ -2,11 +2,15 @@
 
 A CA check scheduled while the CA queue is empty is *virtual* on the fast
 engine: it is counted as one executed event once the run passes it, and
-never queued.  Budgets and horizons still count logical events, so every
-run must end exactly where the stepped engine ends it: the same executed
-count and digest, or the same ``StallError`` text.  Package jobs are made
-in flight, so the fast engine's memory no longer grows with the data
-volume of a flow.
+never queued.  An SA check that a local request schedules on an idle
+segment, with nothing queued ahead of it, is *fused*: it runs inside the
+request's event and is counted, not queued.  Budgets and horizons still
+count logical events, so every run, fault-free or under a transient
+plan, must end exactly where the stepped engine ends it: the same
+executed count and digest, or the same ``StallError`` text.  The fast
+engine's jobs follow the transfers (fault-free) or the packages in
+flight (under faults), so its memory does not grow with the data volume
+of a flow.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.emulator.fastkernel import make_simulation
 from repro.emulator.kernel import PlatformSpec
 from repro.emulator.report import build_report
 from repro.errors import StallError
-from repro.faults import RetryPolicy, Watchdog
+from repro.faults import FaultPlan, RetryPolicy, Watchdog
 from repro.psdf.graph import PSDFGraph
 
 MODELS = {
@@ -36,14 +40,35 @@ MODELS = {
 }
 
 
+#: transient plans, with and without grant loss (a lost SA grant
+#: re-schedules the check it fused in)
+PLANS = {
+    "fault-free": {},
+    "corruption": dict(corruption_rate=0.05),
+    "corruption+grant-loss": dict(corruption_rate=0.05, grant_loss_rate=0.05),
+}
+
+
 def _model(name):
     application, platform = MODELS[name]
     return application(), PlatformSpec.from_platform(platform())
 
 
-def _outcome(engine, application, spec, config):
+def _faults(plan):
+    """Keyword arguments that run a model under ``PLANS[plan]``."""
+    if not PLANS[plan]:
+        return {}
+    return dict(
+        fault_plan=FaultPlan.transient(seed=7, **PLANS[plan]),
+        retry_policy=RetryPolicy(max_attempts=8, on_exhaustion="degrade"),
+    )
+
+
+def _outcome(engine, application, spec, config, plan="fault-free"):
     """How a run ends: its digest, or the StallError text that stopped it."""
-    sim = make_simulation(application, spec, config, engine=engine)
+    sim = make_simulation(
+        application, spec, config, engine=engine, **_faults(plan)
+    )
     try:
         sim.run()
     except StallError as exc:
@@ -52,16 +77,25 @@ def _outcome(engine, application, spec, config):
     return "done", digest, sim.queue.executed, sim.queue.now_fs
 
 
-def _budgets(name):
-    """Event budgets and tick horizons around the run's own length."""
+def _budgets(name, plan):
+    """Event budgets and tick horizons around the run's own length.
+
+    The fast engine counts virtual and fused checks while fewer than a
+    quarter of the budget's events have run; budgets near a quarter and
+    a third of the run end it there.
+    """
     application, spec = _model(name)
-    full = make_simulation(application, spec, engine="stepped").run()
+    full = make_simulation(
+        application, spec, engine="stepped", **_faults(plan)
+    ).run()
     events = full.queue.executed
     ticks = full.ca.clock.ticks(full.queue.now_fs)
-    rng = random.Random(name)
+    rng = random.Random(f"{name}/{plan}")
     configs = [
         EmulationConfig(max_events=budget)
-        for budget in (1, 2, 3, 63, 64, 65)
+        for budget in (1, 2, 3, 4, 5, 63, 64, 65)
+        + tuple(range(events // 4 - 2, events // 4 + 3))
+        + tuple(range(events // 3 - 2, events // 3 + 3))
         + tuple(range(events - 2, events + 2))
     ]
     configs += [
@@ -80,17 +114,18 @@ def _budgets(name):
     return application, spec, configs
 
 
+@pytest.mark.parametrize("plan", sorted(PLANS))
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_budgets_and_horizons_end_both_engines_alike(name):
-    application, spec, configs = _budgets(name)
+def test_budgets_and_horizons_end_both_engines_alike(name, plan):
+    application, spec, configs = _budgets(name, plan)
     for config in configs:
-        stepped = _outcome("stepped", application, spec, config)
-        fast = _outcome("fast", application, spec, config)
+        stepped = _outcome("stepped", application, spec, config, plan)
+        fast = _outcome("fast", application, spec, config, plan)
         assert fast == stepped, (config.max_events, config.max_ticks)
 
 
 class TestCaPushes:
-    """Which CA checks reach the fast engine's heap."""
+    """Which CA and SA checks reach the fast engine's heap."""
 
     @staticmethod
     def _run_counting(monkeypatch, **kwargs):
@@ -114,6 +149,7 @@ class TestCaPushes:
         assert pushes["queued"] > 0
         # about a quarter of MP3's logical events are empty CA checks
         assert sim._ca_virtual_count > sim.queue.executed // 5
+        assert sim._fused_count > 0
         application, spec = _model("mp3_3seg")
         stepped = make_simulation(application, spec, engine="stepped").run()
         assert sim.queue.executed == stepped.queue.executed
@@ -124,6 +160,7 @@ class TestCaPushes:
         )
         assert pushes["empty"] > 0
         assert sim._ca_virtual_count == 0
+        assert sim._fused_count == 0
 
     def test_a_timeout_policy_keeps_every_check_real(self, monkeypatch):
         sim, pushes = self._run_counting(
@@ -131,6 +168,7 @@ class TestCaPushes:
         )
         assert pushes["empty"] > 0
         assert sim._ca_virtual_count == 0
+        assert sim._fused_count == 0
 
 
 def _large_flow_mp3(data_items: int) -> PSDFGraph:

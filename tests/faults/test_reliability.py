@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.analysis.reliability import ReliabilityCurve, reliability_sweep
-from repro.errors import FaultConfigError
+from repro.errors import FaultConfigError, SegBusError
 from repro.faults import RetryPolicy
 
 
@@ -49,6 +49,27 @@ class TestSweep:
                 rates=[0.0],
                 kind="permanent_failure",
             )
+
+
+    @pytest.mark.parametrize(
+        "rates, seeds, message",
+        [
+            ([0.001, 0.001], (1,), "rates names 0.001 twice"),
+            ([0.0, 1e-3, 0.001], (1,), "rates names 0.001 twice"),
+            ([0.001], (2, 3, 2), "seeds names 2 twice"),
+        ],
+    )
+    def test_a_repeated_grid_value_is_refused_before_simulation(
+        self, mp3_graph, platform_3seg, monkeypatch, rates, seeds, message
+    ):
+        # a repeat would print its curve row twice and simulate its
+        # points again
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep simulated before the check")
+
+        monkeypatch.setattr("repro.analysis.reliability.emulate", refuse)
+        with pytest.raises(SegBusError, match=message):
+            reliability_sweep(mp3_graph, platform_3seg, rates=rates, seeds=seeds)
 
 
 class TestExports:

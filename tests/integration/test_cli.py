@@ -78,6 +78,19 @@ class TestExplore:
         assert rc == 0
         assert "placetool" in capsys.readouterr().out
 
+    def test_repeated_grid_values_exit_2(self, capsys):
+        rc = main(
+            [
+                "explore",
+                "--segment-counts", "2", "2",
+                "--package-sizes", "6", "6",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "segbus: error: segment_counts names 2 twice\n"
+
     @pytest.mark.parametrize("prune", ["0", "-1"])
     def test_bad_estimate_prune_exits_2(self, capsys, prune):
         rc = main(["explore", "--estimate-prune", prune])

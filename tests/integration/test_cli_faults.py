@@ -74,6 +74,18 @@ class TestFaultsCommand:
             "in-process path cannot interrupt a job\n"
         )
 
+    def test_a_repeated_rate_exits_2(self, capsys):
+        rc = main(
+            [
+                "faults", "--app", "mp3", "--segments", "2",
+                "--rates", "0.001", "0.001", "--seeds", "2",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "segbus: error: rates names 0.001 twice\n"
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exit_2(self, workers, capsys):
         rc = main(

@@ -5,9 +5,10 @@ with retry/timeout policies (including degraded outcomes), and under the
 store-and-forward protocol — must produce *byte-identical* trace,
 timeline and report digests and the same executed-event count across the
 engine matrix: the cycle-stepped reference and the event-driven fast
-kernel.  This is the enforcement arm of the engine equivalence contract
-(docs/PERFORMANCE.md): anything the stepped kernel observes, the derived
-kernel must observe identically.
+kernel.  Each model also runs untraced on every engine, and those digests
+and counts must agree too.  This is the enforcement arm of the engine
+equivalence contract (docs/PERFORMANCE.md): anything the stepped kernel
+observes, the derived kernel must observe identically.
 """
 
 from hypothesis import given, settings
@@ -27,17 +28,27 @@ ENGINES = (Simulation, FastSimulation)
 
 def _observe(engine_cls, application, spec, config=None, fault_plan=None,
              retry_policy=None):
-    """Run one engine and collect everything the contract pins."""
+    """Run one engine and collect everything the contract pins.
+
+    The model runs twice, traced and untraced: some of a kernel's paths
+    run only without a tracer, so the untraced run's digests and event
+    count are observed as well.
+    """
+    def run(tracer):
+        return engine_cls(
+            application,
+            spec,
+            config or EmulationConfig(),
+            tracer=tracer,
+            fault_plan=fault_plan,
+            retry_policy=retry_policy,
+        ).run()
+
     tracer = Tracer()
-    sim = engine_cls(
-        application,
-        spec,
-        config or EmulationConfig(),
-        tracer=tracer,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-    ).run()
+    sim = run(tracer)
     report = build_report(sim)
+    bare = run(None)
+    bare_report = build_report(bare)
     return {
         "trace": tracer.digest(),
         "timeline": report.timeline.digest(),
@@ -46,6 +57,11 @@ def _observe(engine_cls, application, spec, config=None, fault_plan=None,
         "execution_time_fs": sim.execution_time_fs(),
         "degraded": sim.degraded,
         "failed_elements": tuple(sorted(sim.failed_elements)),
+        "untraced": (
+            bare_report.timeline.digest(),
+            bare_report.digest(),
+            bare.queue.executed,
+        ),
     }
 
 
